@@ -312,15 +312,40 @@ def kkt_residual(gamma: np.ndarray, grad: np.ndarray) -> float:
     return max(viol, 0.0)
 
 
-def fit_mixture(proto: PrototypeSet, y: np.ndarray, noise_sd: float = 1.0,
-                max_iter: int = 500_000) -> MixtureFit:
+def _affine_minimizer(gram: np.ndarray, lin: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Minimize 0.5 z'Gz - lin'z over the affine hull sum(z) = 1 of ``support``.
+
+    Solves the bordered system [G_SS 1; 1' 0] [z; nu] = [lin_S; 1] by least
+    squares, since G_SS is singular when prototypes are affinely dependent.
+    """
+    m = support.size
+    system = np.ones((m + 1, m + 1))
+    system[:m, :m] = gram[np.ix_(support, support)]
+    system[m, m] = 0.0
+    rhs = np.append(lin[support], 1.0)
+    return np.linalg.lstsq(system, rhs, rcond=None)[0][:m]
+
+
+def fit_mixture(proto: PrototypeSet, y: np.ndarray, noise_sd: float = 1.0) -> MixtureFit:
     """Simplex-constrained least squares fit of y to the prototypes.
 
     Under iid Gaussian noise the maximum-likelihood mixture weights solve
     min ||y - gamma @ P||^2 over the simplex, independent of the noise
     scale; ``noise_sd`` is validated but does not move the optimum.
-    Solved by accelerated projected gradient with restarts, converged
-    when the KKT residual drops below 1e-8.
+
+    Solved exactly by a primal active-set method (Lawson & Hanson's NNLS
+    scheme carried from the nonnegative orthant to the simplex): start at
+    the best vertex, admit the index with the most negative reduced
+    gradient, minimize over the affine hull of the passive set, and step
+    back to the boundary, dropping an index, whenever a passive weight
+    would turn nonpositive.  A result whose KKT residual exceeds
+    ``KKT_TOL`` raises ``NumericalError``.
+
+    The fitted model gamma @ P is unique, but gamma itself need not be:
+    when the prototypes are affinely dependent the optimum is a whole face
+    of the simplex, and the solver returns the deterministic point it
+    reaches from the best vertex.  The derived mean log age and log
+    metallicity then depend on that choice.
     """
     if not noise_sd > 0:
         raise ValidationError(f"noise_sd must be positive, got {noise_sd}")
@@ -333,32 +358,45 @@ def fit_mixture(proto: PrototypeSet, y: np.ndarray, noise_sd: float = 1.0,
     k = p.shape[0]
     gram = 2.0 * (p @ p.T)
     lin = 2.0 * (p @ y)
-    lipschitz = float(np.linalg.eigvalsh(gram)[-1]) if k > 1 else float(gram[0, 0])
-    step = 1.0 / lipschitz if lipschitz > 0 else 1.0
+    # reduced gradients this close to zero are rounding, not descent
+    tol = 1e-12 * max(float(np.abs(gram).max()), float(np.abs(lin).max()), 1.0)
 
-    gamma = np.full(k, 1.0 / k)
-    zk = gamma
-    tk = 1.0
-    converged = False
-    for it in range(max_iter):
-        grad_z = gram @ zk - lin
-        nxt = project_to_simplex(zk - step * grad_z)
-        if it % 4 == 0:
-            if kkt_residual(nxt, gram @ nxt - lin) <= KKT_TOL:
-                gamma = nxt
-                converged = True
-                break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        momentum = (tk - 1.0) / t_next
-        if float(grad_z @ (nxt - gamma)) > 0:  # adaptive restart
-            momentum = 0.0
-            t_next = 1.0
-        zk = nxt + momentum * (nxt - gamma)
-        gamma = nxt
-        tk = t_next
-    if not converged:
+    gamma = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    vertex = int(np.argmin(0.5 * np.diag(gram) - lin))
+    gamma[vertex] = 1.0
+    passive[vertex] = True
+    for _ in range(3 * k):
+        grad = gram @ gamma - lin
+        reduced = grad - float(gamma @ grad)
+        reduced[passive] = np.inf
+        enter = int(np.argmin(reduced))
+        if not reduced[enter] < -tol:
+            break
+        passive[enter] = True
+        support = np.flatnonzero(passive)
+        z = _affine_minimizer(gram, lin, support)
+        if z[support == enter][0] <= 0:
+            # exact arithmetic gives the entering weight a positive value;
+            # losing that to rounding means no descent is left to take
+            break
+        while (z <= 0).any():
+            current = gamma[support]
+            blocked = z <= 0
+            ratios = current[blocked] / (current[blocked] - z[blocked])
+            alpha = float(ratios.min())
+            gamma[support] = current + alpha * (z - current)
+            drop = support[blocked][ratios <= alpha]
+            gamma[drop] = 0.0
+            passive[drop] = False
+            support = np.flatnonzero(passive)
+            z = _affine_minimizer(gram, lin, support)
+        gamma[support] = z
+
+    residual = kkt_residual(gamma, gram @ gamma - lin)
+    if not residual <= KKT_TOL:
         raise NumericalError(
-            f"simplex solver did not reach KKT residual {KKT_TOL} in {max_iter} iterations"
+            f"simplex solver reached KKT residual {residual:.2e}, above {KKT_TOL}"
         )
     model = gamma @ p
     rss = float(np.sum((y - model) ** 2))

@@ -2,7 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside pytest's own verdicts.  Criteria with runtime budgets are
-timed after a numba warmup so JIT compilation is not billed against them.
+timed after one call to each kernel, so that when numba is installed its
+JIT compilation is not billed against them; without numba that warm-up
+only runs the numpy kernels.
 """
 
 import itertools

@@ -1,5 +1,7 @@
 """Diffusion K-means, the parameter-grid baseline, and mixture fitting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -224,7 +226,7 @@ def test_fit_mixture_vertex_exact():
     vectors = np.random.default_rng(0).normal(size=(5, 30))
     proto = _loose_protoset(vectors)
     result = fit_mixture(proto, vectors[2])
-    np.testing.assert_allclose(result.gamma, np.eye(5)[2], atol=1e-6)
+    np.testing.assert_array_equal(result.gamma, np.eye(5)[2])
     assert result.residual <= 1e-12
 
 
@@ -232,7 +234,7 @@ def test_fit_mixture_midpoint_exact():
     vectors = np.random.default_rng(1).normal(size=(4, 25))
     proto = _loose_protoset(vectors)
     result = fit_mixture(proto, 0.5 * vectors[0] + 0.5 * vectors[1])
-    np.testing.assert_allclose(result.gamma, [0.5, 0.5, 0.0, 0.0], atol=1e-6)
+    np.testing.assert_allclose(result.gamma, [0.5, 0.5, 0.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_fit_mixture_noisy_recovery_l1():
@@ -312,6 +314,105 @@ def test_fit_mixture_rejects_bad_inputs():
         fit_mixture(proto, np.full(10, np.nan))
     with pytest.raises(ValidationError, match="length"):
         fit_mixture(proto, np.zeros(9))
+
+
+def test_fit_mixture_has_no_iteration_cap():
+    vectors = np.random.default_rng(7).normal(size=(3, 10))
+    with pytest.raises(TypeError):
+        fit_mixture(_loose_protoset(vectors), vectors[0], max_iter=10)
+
+
+def test_fit_mixture_single_prototype():
+    result = fit_mixture(_loose_protoset(np.ones((1, 6))), np.arange(6.0))
+    np.testing.assert_array_equal(result.gamma, [1.0])
+
+
+def test_fit_mixture_identical_prototypes_give_simplex_point():
+    vectors = np.tile(np.random.default_rng(8).normal(size=12), (4, 1))
+    result = fit_mixture(_loose_protoset(vectors), np.zeros(12))
+    assert result.gamma.min() >= 0
+    assert result.gamma.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(result.gamma @ vectors, vectors[0], atol=1e-12)
+
+
+def test_fit_mixture_bitwise_deterministic():
+    lib = generate(GeneratorSpec(kind="degenerate-components", n=120, seed=11,
+                                 separation=0.01))
+    proto = grid_prototypes(lib, 10)
+    y = np.random.default_rng(9).dirichlet(np.ones(120)) @ lib.spectra
+    first, second = fit_mixture(proto, y), fit_mixture(proto, y)
+    assert first.gamma.tobytes() == second.gamma.tobytes()
+
+
+def _support_oracle(vectors, y):
+    """Exact minimum of ||y - gamma @ P||^2 over the simplex, by enumeration.
+
+    Every nonempty support gets its equality-constrained least squares
+    solution; the feasible ones are kept and the smallest objective wins.
+    Some optimal point has an affinely independent support, where that
+    solution is unique, so the enumeration is exact even when P is
+    rank-deficient.
+    """
+    k = vectors.shape[0]
+    best = np.inf
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            sub = vectors[list(support)]
+            system = np.ones((size + 1, size + 1))
+            system[:size, :size] = sub @ sub.T
+            system[size, size] = 0.0
+            rhs = np.append(sub @ y, 1.0)
+            gamma = np.linalg.lstsq(system, rhs, rcond=None)[0][:size]
+            if gamma.min() >= -1e-12:
+                best = min(best, float(np.sum((y - gamma @ sub) ** 2)))
+    return best
+
+
+def _assert_matches_oracle(vectors, y):
+    result = fit_mixture(_loose_protoset(vectors), y)
+    grad = 2.0 * (vectors @ vectors.T) @ result.gamma - 2.0 * (vectors @ y)
+    assert kkt_residual(result.gamma, grad) <= 1e-10
+    best = _support_oracle(vectors, y)
+    assert abs(result.residual - best) <= 1e-10 * best
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_fit_mixture_matches_support_oracle_random(k):
+    rng = np.random.default_rng([10, k])
+    for _ in range(5):
+        _assert_matches_oracle(rng.normal(size=(k, 12)), rng.normal(size=12))
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_fit_mixture_matches_support_oracle_duplicated_rows(k):
+    rng = np.random.default_rng([11, k])
+    for _ in range(5):
+        vectors = rng.normal(size=(k, 12))
+        vectors[-1] = vectors[0]
+        _assert_matches_oracle(vectors, rng.normal(size=12))
+
+
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_fit_mixture_matches_support_oracle_collinear(k):
+    rng = np.random.default_rng([12, k])
+    for _ in range(5):
+        vectors = rng.normal(size=(k, 12))
+        vectors[2] = 0.3 * vectors[0] + 0.7 * vectors[1]
+        # observations near the segment make the dependent face optimal
+        y = rng.uniform() * vectors[0] + 0.1 * rng.normal(size=12)
+        _assert_matches_oracle(vectors, y)
+
+
+def test_fit_mixture_matches_support_oracle_rank_deficient_grid():
+    lib = generate(GeneratorSpec(kind="degenerate-components", n=120, seed=11,
+                                 separation=0.01))
+    proto = grid_prototypes(lib, 10)
+    assert np.linalg.matrix_rank(proto.prototypes) == 3
+    for trial in range(3):
+        rng = np.random.default_rng([13, trial])
+        weights = rng.dirichlet(np.ones(lib.n_components))
+        y = weights @ lib.spectra + 0.02 * rng.normal(size=lib.n_bins)
+        _assert_matches_oracle(proto.prototypes, y)
 
 
 # --- quantization benchmark ---------------------------------------------------
