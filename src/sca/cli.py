@@ -129,7 +129,10 @@ def _parse_diss(text: str):
         return Dissimilarity(kind=text)
     if text.startswith("table:"):
         path = text[len("table:"):]
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"malformed dissimilarity table {path}: {exc}") from exc
         return Dissimilarity(kind="table", table=table)
     raise ValidationError(
         f"unknown dissimilarity {text!r}; expected sqeuclidean, euclidean, or table:<path>"

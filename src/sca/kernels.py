@@ -1,132 +1,64 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Squared-euclidean distance kernels in numpy.
 
-The numba path is used when numba imports cleanly and the environment
-variable SCA_DISABLE_NUMBA is unset (or set to something falsy).  Set
-SCA_DISABLE_NUMBA=1 to force the numpy fallback; the flag is read once
-at import time.
+Every kernel goes through one cache-blocked routine, ``_sq_dists``.  It
+fills the output in row blocks of about ``BLOCK_ENTRIES`` entries and,
+within a block, accumulates (q_k - x_k)^2 coordinate by coordinate in
+the fixed order k = 0..d-1.  So each entry is the same scalar sum
+whatever the shapes, which gives:
 
-Both paths keep a fixed per-entry summation order, so results are
-deterministic for a given backend, and pairwise/cross kernels share
-their inner arithmetic: the kernel row computed for a query that
-coincides with a training point is bitwise identical to the matching
-row of the pairwise matrix.
+- results that are deterministic and independent of blocking;
+- an exactly symmetric pairwise matrix with a zero diagonal, since
+  (a - b)^2 and (b - a)^2 are bitwise equal;
+- ``cross_sq_dists(x, x)`` bitwise equal to ``pairwise_sq_dists(x)``, so
+  the kernel row of a query that coincides with a training point is the
+  training row itself (the Nystrom training-point identity relies on it).
 
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+The public functions do not call each other.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    numba = None
-
-ENV_FLAG = "SCA_DISABLE_NUMBA"
+# entries per row block: 32k float64 (256 KiB) per temporary
+BLOCK_ENTRIES = 1 << 15
 
 
-def _flag_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-USING_NUMBA = numba is not None and not _flag_disabled()
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-# ---------------------------------------------------------------------------
-
-def np_pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """Dense squared-euclidean distance matrix, exactly symmetric, zero diagonal."""
+def _sq_dists(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances, summed over coordinates in index order."""
+    q = np.asarray(q, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    m, d = q.shape
     n = x.shape[0]
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n - 1):
-        out[i, i + 1:] = np.sum((x[i + 1:] - x[i]) ** 2, axis=1)
-    return out + out.T
-
-
-def np_cross_sq_dists(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared-euclidean distances from each query row to each reference row."""
-    m = q.shape[0]
-    out = np.empty((m, x.shape[0]), dtype=np.float64)
-    for k in range(m):
-        out[k] = np.sum((x - q[k]) ** 2, axis=1)
+    out = np.zeros((m, n), dtype=np.float64)
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
+    buf = np.empty((step, n), dtype=np.float64)
+    xt = np.ascontiguousarray(x.T)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        blk = out[lo:hi]
+        diff = buf[:hi - lo]
+        for k in range(d):
+            np.subtract(q[lo:hi, k, None], xt[k], out=diff)
+            np.square(diff, out=diff)
+            blk += diff
     return out
 
 
-def np_assign_nearest(x: np.ndarray, centroids: np.ndarray):
+def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+    """Dense squared-euclidean distance matrix, exactly symmetric, zero diagonal."""
+    return _sq_dists(x, x)
+
+
+def cross_sq_dists(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared-euclidean distances from each query row to each reference row."""
+    return _sq_dists(q, x)
+
+
+def assign_nearest(x: np.ndarray, centroids: np.ndarray):
     """Nearest-centroid labels and squared distances; ties go to the lowest index."""
-    d2 = np_cross_sq_dists(x, centroids)
+    d2 = _sq_dists(x, centroids)
     labels = np.argmin(d2, axis=1)
-    return labels.astype(np.int64), d2[np.arange(x.shape[0]), labels]
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def nb_pairwise_sq_dists(x):
-        n, d = x.shape
-        out = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = 0.0
-                for k in range(d):
-                    diff = x[i, k] - x[j, k]
-                    acc += diff * diff
-                out[i, j] = acc
-                out[j, i] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def nb_cross_sq_dists(q, x):
-        m, d = q.shape
-        n = x.shape[0]
-        out = np.empty((m, n), dtype=np.float64)
-        for i in range(m):
-            for j in range(n):
-                acc = 0.0
-                for k in range(d):
-                    diff = x[j, k] - q[i, k]
-                    acc += diff * diff
-                out[i, j] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def nb_assign_nearest(x, centroids):
-        n, d = x.shape
-        nc = centroids.shape[0]
-        labels = np.empty(n, dtype=np.int64)
-        dists = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            best = 0
-            best_d = np.inf
-            for c in range(nc):
-                acc = 0.0
-                for k in range(d):
-                    diff = x[i, k] - centroids[c, k]
-                    acc += diff * diff
-                if acc < best_d:
-                    best_d = acc
-                    best = c
-            labels[i] = best
-            dists[i] = best_d
-        return labels, dists
-
-
-if USING_NUMBA:
-    pairwise_sq_dists = nb_pairwise_sq_dists
-    cross_sq_dists = nb_cross_sq_dists
-    assign_nearest = nb_assign_nearest
-else:
-    pairwise_sq_dists = np_pairwise_sq_dists
-    cross_sq_dists = np_cross_sq_dists
-    assign_nearest = np_assign_nearest
+    return labels.astype(np.int64), d2[np.arange(d2.shape[0]), labels]
 
 
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    return "numpy"

@@ -16,7 +16,7 @@ from . import kernels
 from .dataset import DataSet, frozen_array
 from .errors import NumericalError, ValidationError
 from .markov import TransitionMatrix
-from .spectral import SpectralDecomposition, _check_time
+from .spectral import SpectralDecomposition, _check_pair_index, _check_time
 
 EIGENVALUE_FLOOR = 1e-12
 
@@ -71,7 +71,7 @@ def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
         raise ValidationError("query points contain non-finite entries")
     if q.shape[0] == 0:
         return np.empty((0, model.n))
-    dists = kernels.cross_sq_dists(np.ascontiguousarray(q), model.points)
+    dists = kernels.cross_sq_dists(q, model.points)
     if model.diss_kind == "euclidean":
         dists = np.sqrt(dists)
     weights = np.exp(-dists / model.epsilon)
@@ -97,9 +97,8 @@ def _check_eigen_floor(model: ExtensionModel, indices) -> None:
 
 def extend_eigenfunction(model: ExtensionModel, x: np.ndarray, j: int) -> float:
     """Kernel-smoothed estimate of eigenfunction j (1-based, nontrivial) at x."""
-    if not isinstance(j, (int, np.integer)) or not 1 <= j <= model.n - 1:
-        raise ValidationError(f"eigenfunction index must lie in [1, {model.n - 1}], got {j!r}")
-    _check_eigen_floor(model, [int(j)])
+    j = _check_pair_index(j, model.decomposition, "eigenfunction index j")
+    _check_eigen_floor(model, [j])
     weights = kernel_weights(model, np.asarray(x, dtype=np.float64).reshape(1, -1))
     psi = model.decomposition.eigenvectors[:, j - 1]
     return float((weights[0] @ psi) / model.decomposition.eigenvalues[j - 1])
@@ -109,9 +108,7 @@ def extend_embedding(model: ExtensionModel, new_points: np.ndarray,
                      t: int, r: int) -> np.ndarray:
     """Diffusion coordinates for m new points: row k is (lambda_j^t psi_hat_j(x_k))_j."""
     t = _check_time(t)
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= model.n - 1:
-        raise ValidationError(f"embedding dimension r must lie in [1, {model.n - 1}], got {r!r}")
-    r = int(r)
+    r = _check_pair_index(r, model.decomposition, "embedding dimension r")
     _check_eigen_floor(model, range(1, r + 1))
     weights = kernel_weights(model, new_points)
     psi = model.decomposition.eigenvectors[:, :r]

@@ -12,7 +12,10 @@ from .markov import StationaryDistribution, TransitionMatrix
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Full nontrivial spectrum of A in descending eigenvalue order.
+    """Nontrivial spectrum of A in descending eigenvalue order.
+
+    ``decompose`` stores all n-1 nontrivial pairs; a model read back from
+    disk may store only the leading ones.
 
     Right eigenvectors are normalized to be orthonormal under the
     phi0-weighted inner product, which makes the euclidean metric of the
@@ -89,13 +92,21 @@ def _check_time(t) -> int:
     return int(t)
 
 
+def _check_pair_index(value, decomposition: SpectralDecomposition, what: str) -> int:
+    """Validate a 1-based count or index of nontrivial pairs against those stored."""
+    pairs = decomposition.eigenvalues.shape[0]
+    if not isinstance(value, (int, np.integer)) or not 1 <= value <= pairs:
+        raise ValidationError(
+            f"{what} must lie in [1, {pairs}] (the decomposition stores {pairs} "
+            f"nontrivial eigenpairs), got {value!r}"
+        )
+    return int(value)
+
+
 def embed(decomposition: SpectralDecomposition, t: int, r: int) -> DiffusionEmbedding:
     """Diffusion map coordinates: coords[i, j] = lambda_{j+1}^t psi_{j+1}(x_i)."""
     t = _check_time(t)
-    n = decomposition.n
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= n - 1:
-        raise ValidationError(f"embedding dimension r must lie in [1, {n - 1}], got {r!r}")
-    r = int(r)
+    r = _check_pair_index(r, decomposition, "embedding dimension r")
     scale = decomposition.eigenvalues[:r] ** t
     coords = decomposition.eigenvectors[:, :r] * scale[None, :]
     return DiffusionEmbedding(coords=coords, t=t, r=r)

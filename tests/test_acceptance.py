@@ -1,10 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines alongside pytest's own verdicts.  Criteria with runtime budgets are
-timed after one call to each kernel, so that when numba is installed its
-JIT compilation is not billed against them; without numba that warm-up
-only runs the numpy kernels.
+lines alongside pytest's own verdicts.
 """
 
 import itertools
@@ -15,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sca import kernels
 from sca.cli import main
 from sca.dataset import DataSet, Dissimilarity, pairwise_dissimilarity
 from sca.markov import build_transition, default_epsilon, stationary_distribution
@@ -54,15 +50,6 @@ def _family_pipeline(case):
     dmat = pairwise_dissimilarity(data, Dissimilarity())
     transition = build_transition(dmat, default_epsilon(dmat))
     return data, transition, decompose(transition)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels before any timed section
-    x = np.zeros((3, 2))
-    kernels.pairwise_sq_dists(x)
-    kernels.cross_sq_dists(x, x)
-    kernels.assign_nearest(x, np.zeros((2, 2)))
 
 
 @pytest.fixture(scope="module")

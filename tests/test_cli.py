@@ -209,6 +209,20 @@ def test_embed_rejects_asymmetric_table(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().err
 
 
+def test_embed_malformed_table_exits_1(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("a\n0\n1\n")
+    table = tmp_path / "t.csv"
+    table.write_text("0.0,1.0\nabc,0.0\n")
+    out = tmp_path / "coords.csv"
+    assert main(["embed", "--input", str(data), "--diss", f"table:{table}",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed dissimilarity table")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_library_sidecar_records_ref_index(tmp_path):
     lib = tmp_path / "lib.csv"
     assert main(["gen", "--kind", "component-families", "--n", "12",

@@ -1,52 +1,59 @@
-"""Backend agreement: the numba kernels and numpy fallbacks must match."""
-
-import os
-import subprocess
-import sys
+"""Distance kernels against a scalar-loop oracle, bitwise, across block edges."""
 
 import numpy as np
 import pytest
 
 from sca import kernels
 
-needs_numba = pytest.mark.skipif(kernels.numba is None, reason="numba not installed")
+
+def _oracle(q, x):
+    # one scalar accumulation per entry, coordinates in index order
+    m, d = q.shape
+    n = x.shape[0]
+    out = np.empty((m, n))
+    for i in range(m):
+        for j in range(n):
+            acc = 0.0
+            for k in range(d):
+                diff = q[i, k] - x[j, k]
+                acc += diff * diff
+            out[i, j] = acc
+    return out
 
 
-@needs_numba
-@pytest.mark.parametrize("n,d", [(10, 1), (25, 3), (40, 7)])
-def test_pairwise_backends_agree(n, d):
-    x = np.random.default_rng(n * 100 + d).normal(size=(n, d))
-    a = kernels.nb_pairwise_sq_dists(x)
-    b = kernels.np_pairwise_sq_dists(x)
-    np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
+# block step is BLOCK_ENTRIES // n rows; these shapes put m off a multiple
+# of the step, n above BLOCK_ENTRIES (step 1), d = 1, d >= 8 and m = 0
+@pytest.mark.parametrize("m,n,d", [
+    (7, 5000, 3),                       # step 6: a partial last block
+    (3, kernels.BLOCK_ENTRIES + 5, 2),  # step 1
+    (40, 900, 1),
+    (30, 20, 9),
+    (12, 16, 12),
+    (0, 10, 3),
+])
+def test_cross_matches_scalar_oracle(m, n, d):
+    rng = np.random.default_rng(m * 1000 + d)
+    q = rng.normal(size=(m, d))
+    x = rng.normal(size=(n, d))
+    assert np.array_equal(kernels.cross_sq_dists(q, x), _oracle(q, x))
 
 
-@needs_numba
-def test_cross_backends_agree():
-    rng = np.random.default_rng(7)
-    q = rng.normal(size=(8, 4))
-    x = rng.normal(size=(15, 4))
-    a = kernels.nb_cross_sq_dists(q, x)
-    b = kernels.np_cross_sq_dists(q, x)
-    np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
+@pytest.mark.parametrize("n,d", [(1, 3), (37, 1), (60, 8), (200, 3)])
+def test_pairwise_matches_scalar_oracle(n, d):
+    x = np.random.default_rng(n + d).normal(size=(n, d))
+    assert np.array_equal(kernels.pairwise_sq_dists(x), _oracle(x, x))
 
 
-@pytest.mark.parametrize("impl", ["active", "numpy"])
-def test_cross_on_training_rows_is_bitwise_pairwise(impl):
+def test_cross_on_training_rows_is_bitwise_pairwise():
     # the Nystrom training-point identity relies on query kernel rows
-    # reproducing the pairwise rows exactly
-    x = np.random.default_rng(3).normal(size=(20, 5))
-    if impl == "active":
-        pair = kernels.pairwise_sq_dists(x)
-        cross = kernels.cross_sq_dists(x, x)
-    else:
-        pair = kernels.np_pairwise_sq_dists(x)
-        cross = kernels.np_cross_sq_dists(x, x)
-    assert np.array_equal(pair, cross)
+    # reproducing the pairwise rows exactly; n = 500 spans eight blocks
+    x = np.random.default_rng(3).normal(size=(500, 5))
+    assert kernels.BLOCK_ENTRIES // x.shape[0] < x.shape[0] // 4
+    assert np.array_equal(kernels.pairwise_sq_dists(x), kernels.cross_sq_dists(x, x))
 
 
 def test_pairwise_structure():
-    x = np.random.default_rng(0).normal(size=(12, 3))
+    x = np.random.default_rng(0).normal(size=(300, 3))
     d2 = kernels.pairwise_sq_dists(x)
     assert np.array_equal(d2, d2.T)
     assert (np.diag(d2) == 0).all()
@@ -61,21 +68,12 @@ def test_assign_nearest_ties_take_lowest_index():
     assert dists[0] == 1.0
 
 
-@needs_numba
-def test_assign_backends_agree():
+def test_assign_nearest_matches_oracle():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(50, 4))
     c = rng.normal(size=(6, 4))
-    la, da = kernels.nb_assign_nearest(x, c)
-    lb, db = kernels.np_assign_nearest(x, c)
-    assert np.array_equal(la, lb)
-    np.testing.assert_allclose(da, db, rtol=1e-15, atol=0)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, SCA_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from sca import kernels; print(kernels.backend_name())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+    labels, dists = kernels.assign_nearest(x, c)
+    d2 = _oracle(x, c)
+    assert np.array_equal(labels, np.argmin(d2, axis=1))
+    assert np.array_equal(dists, d2.min(axis=1))
+    assert labels.dtype == np.int64

@@ -15,7 +15,7 @@ from sca.nystrom import (
     extend_embedding,
     kernel_weights,
 )
-from sca.spectral import decompose, embed
+from sca.spectral import SpectralDecomposition, decompose, embed
 from sca.synthetic import GeneratorSpec, generate
 
 from _util import full_pipeline, gaussian_dataset, healthy_rank
@@ -163,3 +163,27 @@ def test_query_dimension_mismatch():
     _, _, _, ext = full_pipeline(data)
     with pytest.raises(ValidationError, match="m x 2"):
         kernel_weights(ext, np.zeros((1, 3)))
+
+
+def _truncated(ext, p):
+    # what a regression model file stores: the leading p nontrivial pairs
+    dec = ext.decomposition
+    kept = SpectralDecomposition(
+        eigenvalues=dec.eigenvalues[:p], eigenvectors=dec.eigenvectors[:, :p],
+        trivial_eigenvalue=1.0, trivial_eigenvector=np.ones(ext.n), phi0=dec.phi0)
+    return ExtensionModel(points=ext.points, decomposition=kept,
+                          epsilon=ext.epsilon, diss_kind=ext.diss_kind)
+
+
+def test_truncated_decomposition_bounds_r_and_j_by_stored_pairs():
+    data = gaussian_dataset(20, 2, 4)
+    _, _, _, ext = full_pipeline(data)
+    short = _truncated(ext, 3)
+    q = np.array([[0.1, -0.2], [0.3, 0.4]])
+    np.testing.assert_array_equal(extend_embedding(short, q, 1, 3),
+                                  extend_embedding(ext, q, 1, 3))
+    with pytest.raises(ValidationError, match=r"\[1, 3\] \(the decomposition stores 3"):
+        extend_embedding(short, q, 1, 5)
+    with pytest.raises(ValidationError, match="stores 3"):
+        extend_eigenfunction(short, q[0], 4)
+    assert extend_eigenfunction(short, q[0], 3) == extend_eigenfunction(ext, q[0], 3)

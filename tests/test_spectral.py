@@ -6,6 +6,7 @@ import pytest
 from sca.errors import ValidationError
 from sca.markov import build_transition, stationary_distribution
 from sca.spectral import (
+    SpectralDecomposition,
     decompose,
     diffusion_distance,
     diffusion_distance_matrix,
@@ -111,6 +112,17 @@ def test_embed_r_out_of_range():
         embed(s, 1, 8)
     with pytest.raises(ValidationError):
         embed(s, 1, 0)
+
+
+def test_embed_r_bounded_by_stored_pairs():
+    data = gaussian_dataset(12, 2, 9)
+    _, _, s = pipeline(data)
+    short = SpectralDecomposition(
+        eigenvalues=s.eigenvalues[:4], eigenvectors=s.eigenvectors[:, :4],
+        trivial_eigenvalue=1.0, trivial_eigenvector=np.ones(s.n), phi0=s.phi0)
+    np.testing.assert_array_equal(embed(short, 2, 4).coords, embed(s, 2, 4).coords)
+    with pytest.raises(ValidationError, match="stores 4"):
+        embed(short, 1, 5)
 
 
 def test_embed_t_must_be_positive_integer():
