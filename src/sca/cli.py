@@ -14,12 +14,13 @@ import json
 import os
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from . import synthetic
-from .dataset import Dissimilarity, load_dataset, pairwise_dissimilarity, read_table
+from .dataset import Dissimilarity, load_dataset, pairwise_dissimilarity, parse_table, read_table
 from .errors import NumericalError, ValidationError
 from .markov import build_transition, default_epsilon
 from .nystrom import ExtensionModel, build_extension, extend_embedding
@@ -84,12 +85,6 @@ def _write_sidecar(out_path, config: dict, info: dict) -> None:
     ))
 
 
-def _npy_bytes(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(arr))
-    return buf.getvalue()
-
-
 def config_argv(config: dict):
     """Rebuild the argv that reproduces a sidecar's run."""
     config = dict(config)
@@ -103,20 +98,6 @@ def config_argv(config: dict):
 
 def _derived_out(input_path, suffix: str) -> str:
     return str(Path(input_path).with_suffix(suffix))
-
-
-def _header_columns(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n")
-    delim = "\t" if "\t" in header else ","
-    return [c.strip() for c in header.split(delim)]
-
-
-def _resolve_id_column(path, given):
-    """Default to the conventional 'id' column when the header carries one."""
-    if given is not None:
-        return given
-    return "id" if "id" in _header_columns(path) else None
 
 
 # ---------------------------------------------------------------------------
@@ -202,44 +183,113 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _save_model_dir(model_dir, data, transition, decomposition, t, r) -> None:
-    model_dir = Path(model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
-    _write_bytes_atomic(model_dir / "points.npy", _npy_bytes(data.points))
-    _write_bytes_atomic(model_dir / "eigenvalues.npy",
-                        _npy_bytes(decomposition.eigenvalues))
-    _write_bytes_atomic(model_dir / "eigenvectors.npy",
-                        _npy_bytes(decomposition.eigenvectors))
-    _write_bytes_atomic(model_dir / "phi0.npy", _npy_bytes(decomposition.phi0))
-    _write_bytes_atomic(model_dir / "meta.json", _json_bytes({
-        "epsilon": transition.epsilon,
-        "diss_kind": transition.diss_kind,
-        "t": t, "r": r, "n": data.n, "d": data.d,
-        "ids": list(data.ids),
-    }))
+# Entries of a model archive: name -> (dtype kind, ndim).  The regression
+# entries are present only in models written by ``regress``.
+_MODEL_ENTRIES = {
+    "points": ("f", 2), "eigenvalues": ("f", 1), "eigenvectors": ("f", 2),
+    "phi0": ("f", 1), "epsilon": ("f", 0), "diss_kind": ("U", 0), "t": ("i", 0),
+}
+_REGRESSION_ENTRIES = {
+    "intercept": ("f", 0), "coefficients": ("f", 1), "cv_risk_curve": ("f", 1),
+    "folds": ("i", 0), "seed": ("i", 0), "response_column": ("U", 0),
+}
 
 
-def _load_model_dir(model_dir) -> tuple:
-    model_dir = Path(model_dir)
-    meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
-    points = np.load(model_dir / "points.npy", allow_pickle=False)
-    decomposition = SpectralDecomposition(
-        eigenvalues=np.load(model_dir / "eigenvalues.npy", allow_pickle=False),
-        eigenvectors=np.load(model_dir / "eigenvectors.npy", allow_pickle=False),
-        trivial_eigenvalue=1.0,
-        trivial_eigenvector=np.ones(points.shape[0]),
-        phi0=np.load(model_dir / "phi0.npy", allow_pickle=False),
-    )
-    model = ExtensionModel(points=points, decomposition=decomposition,
-                           epsilon=meta["epsilon"], diss_kind=meta["diss_kind"])
-    return model, meta
+def _save_model(path, extension: ExtensionModel, t: int, pairs: int,
+                regression: EigenbasisRegression = None, response_column=None) -> None:
+    """Write a model archive: one .npz of every array and scalar a loader reads.
+
+    Only the leading ``pairs`` nontrivial eigenpairs are stored.
+    """
+    dec = extension.decomposition
+    entries = dict(points=extension.points, eigenvalues=dec.eigenvalues[:pairs],
+                   eigenvectors=dec.eigenvectors[:, :pairs], phi0=dec.phi0,
+                   epsilon=extension.epsilon, diss_kind=extension.diss_kind, t=t)
+    if regression is not None:
+        entries.update(intercept=regression.intercept, coefficients=regression.coefficients,
+                       cv_risk_curve=regression.cv_risk_curve, folds=regression.folds,
+                       seed=regression.seed, response_column=response_column)
+    buf = io.BytesIO()
+    np.savez(buf, **entries)
+    _write_bytes_atomic(path, buf.getvalue())
+
+
+def _load_model(path):
+    """Read a model archive as (extension, t, regression, response_column).
+
+    The last two are None for a model written by ``embed``.  Every fault
+    (an unreadable archive, a missing entry, a wrong dtype, ndim or shape,
+    a non-finite or out-of-range value) is a ValidationError naming the
+    file.
+    """
+    entries = {}
+    try:
+        with zipfile.ZipFile(path) as archive:
+            for name in archive.namelist():
+                with archive.open(name) as member:
+                    entries[name.removesuffix(".npy")] = np.lib.format.read_array(
+                        member, allow_pickle=False)
+    # RuntimeError covers zipfile's NotImplementedError for unsupported
+    # compression or version fields and its error for encrypted entries
+    except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"cannot read model {path}: {exc}") from exc
+
+    def fault(text):
+        return ValidationError(f"model {path}: {text}")
+
+    def entry(key, kind, ndim):
+        if key not in entries:
+            raise fault(f"missing entry {key!r}")
+        arr = entries[key]
+        if arr.dtype.kind != kind or arr.ndim != ndim:
+            raise fault(f"entry {key!r} is a {arr.ndim}-D {arr.dtype} array, "
+                        f"expected {ndim}-D of kind {kind!r}")
+        if kind == "f" and not np.isfinite(arr).all():
+            raise fault(f"entry {key!r} has non-finite values")
+        return arr.item() if ndim == 0 else arr
+
+    e = {key: entry(key, *spec) for key, spec in _MODEL_ENTRIES.items()}
+    n, k = e["points"].shape[0], e["eigenvalues"].shape[0]
+    for key, expected in (("eigenvectors", (n, k)), ("phi0", (n,))):
+        if e[key].shape != expected:
+            raise fault(f"entry {key!r} has shape {e[key].shape}, expected {expected}")
+    if not (n >= 1 and k >= 1 and e["epsilon"] > 0 and e["t"] >= 1):
+        raise fault(f"needs n >= 1 points, k >= 1 eigenpairs, epsilon > 0 and t >= 1; "
+                    f"got n={n}, k={k}, epsilon={e['epsilon']!r}, t={e['t']!r}")
+    try:
+        extension = ExtensionModel(
+            points=e["points"], epsilon=e["epsilon"], diss_kind=e["diss_kind"],
+            decomposition=SpectralDecomposition(
+                eigenvalues=e["eigenvalues"], eigenvectors=e["eigenvectors"],
+                phi0=e["phi0"]))
+    except ValidationError as exc:
+        raise fault(str(exc)) from exc
+    if not any(key in entries for key in _REGRESSION_ENTRIES):
+        return extension, e["t"], None, None
+    r = {key: entry(key, *spec) for key, spec in _REGRESSION_ENTRIES.items()}
+    p = r["coefficients"].shape[0]
+    if not 1 <= p <= k:
+        raise fault(f"has {p} coefficients for {k} stored eigenpairs; "
+                    f"expected between 1 and {k}")
+    regression = EigenbasisRegression(
+        intercept=r["intercept"], coefficients=r["coefficients"], p=p, t=e["t"],
+        cv_risk_curve=r["cv_risk_curve"], extension=extension,
+        folds=r["folds"], seed=r["seed"])
+    return extension, e["t"], regression, r["response_column"]
+
+
+def _read_input(args):
+    """Parse ``--input`` once: the table and its resolved id column."""
+    table = parse_table(args.input)
+    return table, table.default_id(args.id_column)
 
 
 def _cmd_embed(args) -> int:
-    id_column = _resolve_id_column(args.input, args.id_column)
-    data = load_dataset(args.input, response_column=args.response,
-                        id_column=id_column)
+    table, id_column = _read_input(args)
+    data = load_dataset(table, response_column=args.response, id_column=id_column)
     transition, decomposition, embedding, epsilon, r = _embedding_pipeline(args, data)
+    if args.save_model:
+        extension = build_extension(data, transition, decomposition)
     out = args.out or _derived_out(args.input, ".coords.csv")
     config = {
         "subcommand": "embed", "input": args.input, "t": args.t, "r": r,
@@ -255,17 +305,18 @@ def _cmd_embed(args) -> int:
                                         _coords_rows(data.ids, embedding.coords)))
     _write_sidecar(out, config, info)
     if args.save_model:
-        _save_model_dir(args.save_model, data, transition, decomposition, args.t, r)
+        _save_model(args.save_model, extension, args.t, r)
+        _write_sidecar(args.save_model, config, {"n": data.n, "d": data.d, "pairs": r})
     return 0
 
 
 def _cmd_extend(args) -> int:
-    model, meta = _load_model_dir(args.model)
-    id_column = _resolve_id_column(args.input, args.id_column)
-    points, ids, _ = read_table(args.input, response_column=args.response,
+    model, stored_t, _, _ = _load_model(args.model)
+    table, id_column = _read_input(args)
+    points, ids, _ = read_table(table, response_column=args.response,
                                 id_column=id_column)
-    t = args.t if args.t is not None else int(meta["t"])
-    r = args.r if args.r is not None else int(meta["r"])
+    t = args.t if args.t is not None else stored_t
+    r = args.r if args.r is not None else model.decomposition.eigenvalues.shape[0]
     coords = extend_embedding(model, points, t, r)
     out = args.out or _derived_out(args.input, ".extended.csv")
     config = {
@@ -280,66 +331,13 @@ def _cmd_extend(args) -> int:
     return 0
 
 
-def _model_to_json(model: EigenbasisRegression, config: dict, response_column: str) -> dict:
-    ext = model.extension
-    dec = ext.decomposition
-    return {
-        "config": config,
-        "model": {
-            "intercept": model.intercept,
-            "coefficients": [float(b) for b in model.coefficients],
-            "p": model.p,
-            "t": model.t,
-            "folds": model.folds,
-            "seed": model.seed,
-            "risk_curve": [[p + 1, float(rk)] for p, rk in enumerate(model.cv_risk_curve)],
-            "response_column": response_column,
-        },
-        "extension": {
-            "points": [[float(v) for v in row] for row in ext.points],
-            "eigenvalues": [float(v) for v in dec.eigenvalues[:model.p]],
-            "eigenvectors": [[float(v) for v in row] for row in dec.eigenvectors[:, :model.p]],
-            "phi0": [float(v) for v in dec.phi0],
-            "epsilon": ext.epsilon,
-            "diss_kind": ext.diss_kind,
-        },
-    }
-
-
-def _model_from_json(payload: dict) -> EigenbasisRegression:
-    ext_blob = payload["extension"]
-    blob = payload["model"]
-    points = np.array(ext_blob["points"], dtype=np.float64)
-    decomposition = SpectralDecomposition(
-        eigenvalues=np.array(ext_blob["eigenvalues"], dtype=np.float64),
-        eigenvectors=np.array(ext_blob["eigenvectors"], dtype=np.float64),
-        trivial_eigenvalue=1.0,
-        trivial_eigenvector=np.ones(points.shape[0]),
-        phi0=np.array(ext_blob["phi0"], dtype=np.float64),
-    )
-    extension = ExtensionModel(points=points, decomposition=decomposition,
-                               epsilon=ext_blob["epsilon"],
-                               diss_kind=ext_blob["diss_kind"])
-    return EigenbasisRegression(
-        intercept=blob["intercept"],
-        coefficients=np.array(blob["coefficients"], dtype=np.float64),
-        p=int(blob["p"]),
-        t=int(blob["t"]),
-        cv_risk_curve=np.array([rk for _, rk in blob["risk_curve"]], dtype=np.float64),
-        extension=extension,
-        folds=int(blob["folds"]),
-        seed=int(blob["seed"]),
-    )
-
-
 def _cmd_regress(args) -> int:
-    id_column = _resolve_id_column(args.input, args.id_column)
-    data = load_dataset(args.input, response_column=args.response,
-                        id_column=id_column)
+    table, id_column = _read_input(args)
+    data = load_dataset(table, response_column=args.response, id_column=id_column)
     transition, decomposition, embedding, epsilon, r = _embedding_pipeline(args, data)
     extension = build_extension(data, transition, decomposition)
     model = fit(data, embedding, extension, folds=args.folds, seed=args.seed)
-    out_model = args.out_model or _derived_out(args.input, ".model.json")
+    out_model = args.out_model or _derived_out(args.input, ".model.npz")
     out_preds = args.out_predictions or _derived_out(args.input, ".fitted.csv")
     config = {
         "subcommand": "regress", "input": args.input, "response": args.response,
@@ -348,8 +346,11 @@ def _cmd_regress(args) -> int:
         "kernel_cutoff": args.kernel_cutoff,
         "out_model": out_model, "out_predictions": out_preds,
     }
-    _write_bytes_atomic(out_model, _json_bytes(
-        _model_to_json(model, config, args.response)))
+    _save_model(out_model, extension, model.t, model.p, model, args.response)
+    _write_sidecar(out_model, config, {
+        "n": data.n, "p": model.p,
+        "risk_curve": [[p + 1, float(risk)] for p, risk in enumerate(model.cv_risk_curve)],
+    })
     yhat = fitted_values(model, embedding)
     rows = [[data.ids[i], yhat[i]] for i in range(data.n)]
     _write_bytes_atomic(out_preds, _csv_bytes(["id", "prediction"], rows))
@@ -358,15 +359,15 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    payload = json.loads(Path(args.model).read_text(encoding="utf-8"))
-    model = _model_from_json(payload)
+    _, _, model, response_column = _load_model(args.model)
+    if model is None:
+        raise ValidationError(f"model {args.model} has no regression entries; "
+                              "predict needs a model written by regress")
+    table, id_column = _read_input(args)
     # the training response column, if it also appears in the query file,
     # must not be treated as a feature
-    drop = payload["model"].get("response_column")
-    response_col = drop if drop and drop in _header_columns(args.input) else None
-    id_column = _resolve_id_column(args.input, args.id_column)
-    points, ids, _ = read_table(args.input, response_column=response_col,
-                                id_column=id_column)
+    drop = response_column if response_column in table.header else None
+    points, ids, _ = read_table(table, response_column=drop, id_column=id_column)
     preds = predict(model, points)
     out = args.out or _derived_out(args.input, ".predictions.csv")
     config = {
@@ -414,39 +415,25 @@ def _cmd_prototype(args) -> int:
 
 
 def _load_prototypes_csv(path) -> PrototypeSet:
-    text = Path(path).read_text(encoding="utf-8")
-    rows = list(csv.reader(text.splitlines()))
-    header = rows[0]
-    for required in ("mean_log_age", "mean_log_met"):
-        if required not in header:
-            raise ValidationError(f"prototypes file is missing column {required!r}")
-    la_idx = header.index("mean_log_age")
-    lz_idx = header.index("mean_log_met")
-    skip = {la_idx, lz_idx}
-    if "id" in header:
-        skip.add(header.index("id"))
-    feat_idx = [i for i in range(len(header)) if i not in skip]
-    protos, las, lzs = [], [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        protos.append([float(row[i]) for i in feat_idx])
-        las.append(float(row[la_idx]))
-        lzs.append(float(row[lz_idx]))
-    k = len(protos)
+    table = parse_table(path)
+    protos, _, (log_ages, log_mets) = table.split(
+        table.default_id(), ("mean_log_age", "mean_log_met"), role="prototypes")
+    k = protos.shape[0]
+    if k == 0:
+        raise ValidationError(f"prototypes file {path} has no rows")
     return PrototypeSet(
-        prototypes=np.array(protos), member_assignments=np.arange(k),
+        prototypes=protos, member_assignments=np.arange(k),
         centroids_diffusion=np.empty((k, 0)),
         member_coords_diffusion=np.empty((k, 0)),
-        log_ages=np.array(las), log_metallicities=np.array(lzs),
+        log_ages=log_ages, log_metallicities=log_mets,
         wcss_history=(), method="loaded",
     )
 
 
 def _cmd_fit_mixture(args) -> int:
     proto = _load_prototypes_csv(args.prototypes)
-    id_column = _resolve_id_column(args.input, args.id_column)
-    points, ids, _ = read_table(args.input, id_column=id_column)
+    table, id_column = _read_input(args)
+    points, ids, _ = read_table(table, id_column=id_column)
     out = args.out or _derived_out(args.input, ".mixture.json")
     config = {
         "subcommand": "fit-mixture", "prototypes": args.prototypes,
@@ -532,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_flags(emb, with_seed=False)
     emb.add_argument("--out", default=None)
     emb.add_argument("--save-model", default=None,
-                     help="directory to store the extension model")
+                     help="path of the model archive (.npz) to write")
     emb.set_defaults(func=_cmd_embed)
 
     ext = subs.add_parser("extend", help="extend an embedding to new points")
@@ -552,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--out-predictions", default=None)
     reg.set_defaults(func=_cmd_regress)
 
-    pred = subs.add_parser("predict", help="predict new points from a model JSON")
+    pred = subs.add_parser("predict", help="predict new points from a regress model archive")
     pred.add_argument("--model", required=True)
     pred.add_argument("--input", required=True)
     pred.add_argument("--id-column", default=None)

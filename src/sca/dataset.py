@@ -120,8 +120,99 @@ def pairwise_dissimilarity(data: DataSet, diss: Dissimilarity) -> np.ndarray:
     return sq
 
 
-def _detect_delimiter(header_line: str) -> str:
-    return "\t" if "\t" in header_line else ","
+@dataclass(frozen=True)
+class Table:
+    """Header names and row cell strings of a table that passed
+    ``parse_table``'s structural checks; ``split`` converts it to numbers."""
+
+    header: tuple
+    rows: tuple
+
+    def default_id(self, given: Optional[str] = None) -> Optional[str]:
+        """``given``, else the conventional 'id' column when the header has one."""
+        return given if given is not None else ("id" if "id" in self.header else None)
+
+    def _index(self, name, role) -> int:
+        if name not in self.header:
+            raise ValidationError(f"{role} column {name!r} not found in header")
+        return self.header.index(name)
+
+    def split(self, id_column: Optional[str] = None, labels=(), role: str = "label"):
+        """Features, ids and label columns of the table.
+
+        Every column but the id column must hold finite numbers; a
+        non-numeric or non-finite cell is rejected with its 1-based data
+        row and its column.  The named ``labels`` come back as 1-D arrays
+        in the order given, and the remaining columns are the features.
+        Ids default to 0-based row indices.
+        """
+        id_idx = None if id_column is None else self._index(id_column, "id")
+        label_idx = [self._index(name, role) for name in labels]
+        if id_idx in label_idx:
+            raise ValidationError(f"column {id_column!r} cannot be both the id and a {role}")
+        numeric = [k for k in range(len(self.header)) if k != id_idx]
+        feature_idx = [k for k in numeric if k not in label_idx]
+        if not feature_idx:
+            raise ValidationError(f"no feature columns remain after id/{role}")
+        values = np.array([[_number(row[k]) for k in numeric] for row in self.rows],
+                          dtype=np.float64).reshape(len(self.rows), len(numeric))
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            i, j = bad[0]
+            k = numeric[j]
+            raise ValidationError(
+                f"malformed row {i + 1}: non-numeric cell {self.rows[i][k]!r} "
+                f"in column {self.header[k]!r}"
+            )
+        if id_idx is None:
+            ids = tuple(str(i) for i in range(len(self.rows)))
+        else:
+            ids = tuple(row[id_idx] for row in self.rows)
+            if len(set(ids)) != len(ids):
+                raise ValidationError("duplicate row identifiers in id column")
+        features = np.ascontiguousarray(values[:, [numeric.index(k) for k in feature_idx]])
+        return features, ids, [values[:, numeric.index(k)].copy() for k in label_idx]
+
+
+def _number(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
+
+
+def parse_table(source, delimiter: Optional[str] = None) -> Table:
+    """Read a delimited text table from a path or a text stream.
+
+    The delimiter defaults to a tab when the header line has one, else a
+    comma.  Empty lines are skipped and do not count as data rows.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{source} is not UTF-8 text: {exc}") from exc
+    else:
+        text = source.read()
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ValidationError("empty input: header row required")
+    if delimiter is None:
+        delimiter = "\t" if "\t" in lines[0] else ","
+    try:
+        rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+    except csv.Error as exc:
+        raise ValidationError(f"malformed table: {exc}") from exc
+    header = tuple(name.strip() for name in rows[0])
+    if len(set(header)) != len(header):
+        raise ValidationError("duplicate column names in header")
+    rows = tuple(row for row in rows[1:] if row)
+    for ridx, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValidationError(
+                f"malformed row {ridx + 1}: expected {len(header)} cells, got {len(row)}"
+            )
+    return Table(header=header, rows=rows)
 
 
 def read_table(source, response_column: Optional[str] = None,
@@ -129,78 +220,15 @@ def read_table(source, response_column: Optional[str] = None,
                delimiter: Optional[str] = None):
     """Parse a delimited numeric table into (points, ids, response).
 
-    Feature columns are every column not named as id or response.  Rows
-    with a non-numeric or non-finite feature cell are rejected with the
-    offending 1-based data-row index.  Ids default to 0-based row indices.
-    Row count is not constrained here; query tables may have any m >= 0.
+    ``source`` is a path, a text stream, or a ``Table`` from
+    ``parse_table`` (``delimiter`` then does not apply).  Feature columns
+    are every column not named as id or response.  Row count is not
+    constrained here; query tables may have any m >= 0.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ValidationError("empty input: header row required")
-    if delimiter is None:
-        delimiter = _detect_delimiter(lines[0])
-    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
-    header = [name.strip() for name in rows[0]]
-    if len(set(header)) != len(header):
-        raise ValidationError("duplicate column names in header")
-
-    def _col(name, what):
-        if name is None:
-            return None
-        if name not in header:
-            raise ValidationError(f"{what} column {name!r} not found in header")
-        return header.index(name)
-
-    resp_idx = _col(response_column, "response")
-    id_idx = _col(id_column, "id")
-    feature_idx = [k for k in range(len(header))
-                   if k != resp_idx and k != id_idx]
-    if not feature_idx:
-        raise ValidationError("no feature columns remain after id/response")
-
-    points, ids, resp = [], [], []
-    for ridx, row in enumerate(r for r in rows[1:] if r):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"malformed row {ridx + 1}: expected {len(header)} cells, got {len(row)}"
-            )
-        feats = []
-        for k in feature_idx:
-            try:
-                value = float(row[k])
-            except ValueError:
-                value = np.nan
-            if not np.isfinite(value):
-                raise ValidationError(
-                    f"malformed row {ridx + 1}: non-numeric cell {row[k]!r} "
-                    f"in column {header[k]!r}"
-                )
-            feats.append(value)
-        points.append(feats)
-        ids.append(row[id_idx] if id_idx is not None else str(ridx))
-        if resp_idx is not None:
-            try:
-                y = float(row[resp_idx])
-            except ValueError:
-                y = np.nan
-            if not np.isfinite(y):
-                raise ValidationError(
-                    f"malformed row {ridx + 1}: non-numeric response {row[resp_idx]!r}"
-                )
-            resp.append(y)
-
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate row identifiers in id column")
-    d = len(feature_idx)
-    return (
-        np.array(points, dtype=np.float64).reshape(len(points), d),
-        tuple(ids),
-        np.array(resp) if resp_idx is not None else None,
-    )
+    table = source if isinstance(source, Table) else parse_table(source, delimiter)
+    labels = () if response_column is None else (response_column,)
+    points, ids, found = table.split(id_column, labels, role="response")
+    return points, ids, (found[0] if found else None)
 
 
 def load_dataset(source, response_column: Optional[str] = None,

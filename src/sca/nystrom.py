@@ -71,10 +71,13 @@ def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
         raise ValidationError("query points contain non-finite entries")
     if q.shape[0] == 0:
         return np.empty((0, model.n))
-    dists = kernels.cross_sq_dists(q, model.points)
+    # one m x n buffer throughout; dividing by -epsilon equals negating
+    # and then dividing, bit for bit
+    weights = kernels.cross_sq_dists(q, model.points)
     if model.diss_kind == "euclidean":
-        dists = np.sqrt(dists)
-    weights = np.exp(-dists / model.epsilon)
+        np.sqrt(weights, out=weights)
+    np.divide(weights, -model.epsilon, out=weights)
+    np.exp(weights, out=weights)
     sums = weights.sum(axis=1)
     if not (sums > 0).all():
         k = int(np.argmin(sums > 0))
@@ -82,7 +85,8 @@ def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
             f"kernel row for query point {k} underflowed to zero; "
             "the point is too far from the training data at this epsilon"
         )
-    return weights / sums[:, None]
+    weights /= sums[:, None]
+    return weights
 
 
 def _check_eigen_floor(model: ExtensionModel, indices) -> None:

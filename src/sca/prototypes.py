@@ -8,16 +8,14 @@ modeled as convex mixtures of prototypes, and target parameters are the
 mixture-weighted average log age and log metallicity.
 """
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .dataset import frozen_array
+from .dataset import frozen_array, parse_table
 from .errors import NumericalError, ValidationError
 from .markov import build_transition, default_epsilon
 from .spectral import decompose, embed
@@ -522,32 +520,7 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
 
 def load_component_library(path, ref_index: int = 0) -> ComponentLibrary:
     """Read a library CSV: columns id (optional), age, met, then spectrum bins."""
-    text = Path(path).read_text(encoding="utf-8")
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
-        raise ValidationError("empty library file")
-    header = [h.strip() for h in rows[0]]
-    for required in ("age", "met"):
-        if required not in header:
-            raise ValidationError(f"library file is missing the {required!r} column")
-    age_idx = header.index("age")
-    met_idx = header.index("met")
-    skip = {age_idx, met_idx}
-    if "id" in header:
-        skip.add(header.index("id"))
-    feat_idx = [i for i in range(len(header)) if i not in skip]
-    if not feat_idx:
-        raise ValidationError("library file has no spectrum columns")
-    spectra, ages, mets = [], [], []
-    for ridx, row in enumerate(r for r in rows[1:] if r):
-        if len(row) != len(header):
-            raise ValidationError(f"malformed library row {ridx + 1}")
-        try:
-            spectra.append([float(row[i]) for i in feat_idx])
-            ages.append(float(row[age_idx]))
-            mets.append(float(row[met_idx]))
-        except ValueError as exc:
-            raise ValidationError(f"malformed library row {ridx + 1}: {exc}") from exc
-    return ComponentLibrary.normalize(
-        np.array(spectra), np.array(ages), np.array(mets), ref_index=ref_index
-    )
+    table = parse_table(path)
+    spectra, _, (ages, mets) = table.split(table.default_id(), ("age", "met"),
+                                           role="library")
+    return ComponentLibrary.normalize(spectra, ages, mets, ref_index=ref_index)

@@ -20,17 +20,16 @@ class SpectralDecomposition:
     Right eigenvectors are normalized to be orthonormal under the
     phi0-weighted inner product, which makes the euclidean metric of the
     full-rank diffusion map coincide with the diffusion distance.  The
-    trivial pair (eigenvalue 1, constant eigenvector) is stored apart.
+    trivial pair (eigenvalue 1, constant eigenvector) is the same for
+    every chain and is not stored.
     """
 
     eigenvalues: np.ndarray      # (n-1,) descending
     eigenvectors: np.ndarray     # (n, n-1), column j evaluates psi_{j+1}
-    trivial_eigenvalue: float
-    trivial_eigenvector: np.ndarray
     phi0: np.ndarray
 
     def __post_init__(self):
-        for name in ("eigenvalues", "eigenvectors", "trivial_eigenvector", "phi0"):
+        for name in ("eigenvalues", "eigenvectors", "phi0"):
             object.__setattr__(self, name, frozen_array(getattr(self, name)))
 
     @property
@@ -80,8 +79,6 @@ def decompose(transition: TransitionMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=eigvals,
         eigenvectors=psi,
-        trivial_eigenvalue=1.0,
-        trivial_eigenvector=np.ones(transition.n),
         phi0=s / total,
     )
 

@@ -1,10 +1,18 @@
 """CLI behavior: files, exit codes, determinism, sidecar round-trips."""
 
+import io
 import json
+import zipfile
 
+import numpy as np
 import pytest
 
 from sca.cli import config_argv, main
+from sca.dataset import Dissimilarity, load_dataset, pairwise_dissimilarity, read_table
+from sca.markov import build_transition, default_epsilon
+from sca.nystrom import build_extension
+from sca.regression import fit, predict
+from sca.spectral import decompose, embed
 
 
 def _gen(tmp_path, name="d.csv", kind="swiss-roll", n=30, seed=3, noise="0.05"):
@@ -92,11 +100,11 @@ def test_sidecar_round_trip_reproduces_output(tmp_path):
 def test_extend_reproduces_training_coordinates(tmp_path):
     data = _gen(tmp_path)
     coords = tmp_path / "coords.csv"
-    model_dir = tmp_path / "model"
+    model = tmp_path / "model.npz"
     assert main(["embed", "--input", str(data), "--r", "3", "--response", "response",
-                 "--out", str(coords), "--save-model", str(model_dir)]) == 0
+                 "--out", str(coords), "--save-model", str(model)]) == 0
     extended = tmp_path / "ext.csv"
-    assert main(["extend", "--model", str(model_dir), "--input", str(data),
+    assert main(["extend", "--model", str(model), "--input", str(data),
                  "--response", "response", "--out", str(extended)]) == 0
     ref = [line.split(",") for line in coords.read_text().splitlines()[1:]]
     got = [line.split(",") for line in extended.read_text().splitlines()[1:]]
@@ -108,14 +116,16 @@ def test_extend_reproduces_training_coordinates(tmp_path):
 
 def test_regress_then_predict_pipeline(tmp_path):
     data = _gen(tmp_path, n=40)
-    model = tmp_path / "model.json"
+    model = tmp_path / "model.npz"
     fitted = tmp_path / "fitted.csv"
     assert main(["regress", "--input", str(data), "--response", "response",
                  "--folds", "5", "--r", "8", "--seed", "1",
                  "--out-model", str(model), "--out-predictions", str(fitted)]) == 0
-    payload = json.loads(model.read_text())
-    assert payload["model"]["p"] >= 1
-    assert len(payload["model"]["risk_curve"]) == 8
+    with np.load(model) as archive:
+        assert archive["coefficients"].shape[0] >= 1
+        assert archive["cv_risk_curve"].shape == (8,)
+    sidecar = json.loads((tmp_path / "model.npz.meta.json").read_text())
+    assert len(sidecar["info"]["risk_curve"]) == 8
 
     preds = tmp_path / "preds.csv"
     assert main(["predict", "--model", str(model), "--input", str(data),
@@ -129,7 +139,7 @@ def test_regress_then_predict_pipeline(tmp_path):
 
 def test_predict_empty_query_file(tmp_path):
     data = _gen(tmp_path, n=20)
-    model = tmp_path / "model.json"
+    model = tmp_path / "model.npz"
     assert main(["regress", "--input", str(data), "--response", "response",
                  "--folds", "4", "--r", "5", "--seed", "2",
                  "--out-model", str(model)]) == 0
@@ -231,3 +241,174 @@ def test_gen_library_sidecar_records_ref_index(tmp_path):
     assert sidecar["info"]["ref_index"] == 0
     header = lib.read_text().splitlines()[0].split(",")
     assert header[:3] == ["id", "age", "met"]
+
+
+# --- model archives and malformed inputs ------------------------------------
+
+@pytest.fixture(scope="module")
+def models(tmp_path_factory):
+    """A swiss-roll CSV with a regress model (r=4) and an embed model (r=3)."""
+    base = tmp_path_factory.mktemp("models")
+    data = _gen(base, n=30)
+    assert main(["regress", "--input", str(data), "--response", "response",
+                 "--folds", "3", "--r", "4", "--seed", "1",
+                 "--out-model", str(base / "reg.npz")]) == 0
+    assert main(["embed", "--input", str(data), "--r", "3", "--response", "response",
+                 "--out", str(base / "coords.csv"), "--save-model", str(base / "emb.npz")]) == 0
+    return base
+
+
+def _rewrite(src, dst, **changes):
+    """Copy a model archive, replacing entries (None deletes one)."""
+    with np.load(src) as archive:
+        entries = {key: archive[key] for key in archive.files}
+    for key, value in changes.items():
+        if value is None:
+            del entries[key]
+        else:
+            entries[key] = value(entries[key]) if callable(value) else value
+    with open(dst, "wb") as fh:
+        np.savez(fh, **entries)
+
+
+def _npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+def _patched(src, offset, value):
+    """Archive bytes with one byte set; ``offset`` may depend on the bytes."""
+    raw = bytearray(src.read_bytes())
+    raw[offset(raw) if callable(offset) else offset] = value
+    return bytes(raw)
+
+
+def _corrupt_entry_data(src, dst, name):
+    """Flip the last byte of one archive entry's array data."""
+    raw = bytearray(src.read_bytes())
+    with zipfile.ZipFile(src) as zf:
+        info = zf.getinfo(name)
+    header_len = 30 + len(info.filename.encode()) + len(info.extra)
+    raw[info.header_offset + header_len + info.compress_size - 1] ^= 0xFF
+    dst.write_bytes(bytes(raw))
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+OBS = "id,b0,b1\nq,1.0,0.5\n"
+PROTO_HEADER = "id,mean_log_age,mean_log_met,b0,b1\n"
+
+# (case id, subcommand, function writing the bad file at `bad` from the good models)
+MALFORMED = [
+    ("model-truncated", "predict",
+     lambda m, bad: bad.write_bytes((m / "reg.npz").read_bytes()[:2000])),
+    ("model-not-an-archive", "predict", lambda m, bad: bad.write_bytes(b"garbage" * 9)),
+    ("model-empty-file", "predict", lambda m, bad: bad.write_bytes(b"")),
+    ("model-is-npy", "predict", lambda m, bad: bad.write_bytes(_npy_bytes(np.ones(3)))),
+    ("model-json", "predict", lambda m, bad: bad.write_text('{"model": {"p": 1}')),
+    ("model-directory", "predict", lambda m, bad: bad.mkdir()),
+    ("missing-phi0", "predict", lambda m, bad: _rewrite(m / "reg.npz", bad, phi0=None)),
+    ("missing-intercept", "predict",
+     lambda m, bad: _rewrite(m / "reg.npz", bad, intercept=None)),
+    ("eigenvalues-int-dtype", "predict",
+     lambda m, bad: _rewrite(m / "reg.npz", bad, eigenvalues=lambda a: a.astype(np.int64))),
+    ("epsilon-string-dtype", "predict",
+     lambda m, bad: _rewrite(m / "reg.npz", bad, epsilon=np.str_("0.5"))),
+    ("points-1d", "predict", lambda m, bad: _rewrite(m / "reg.npz", bad, points=np.ravel)),
+    ("points-rows", "predict",
+     lambda m, bad: _rewrite(m / "reg.npz", bad, points=lambda a: a[:-1])),
+    ("eigenvectors-columns", "extend",
+     lambda m, bad: _rewrite(m / "emb.npz", bad, eigenvectors=lambda a: a[:, :-1])),
+    ("eigenvalues-length", "extend",
+     lambda m, bad: _rewrite(m / "emb.npz", bad, eigenvalues=lambda a: a[:-1])),
+    ("phi0-length", "extend", lambda m, bad: _rewrite(m / "emb.npz", bad, phi0=lambda a: a[1:])),
+    ("coefficients-beyond-pairs", "predict",
+     lambda m, bad: _rewrite(m / "reg.npz", bad, coefficients=np.ones(9))),
+    ("coefficients-empty", "predict",
+     lambda m, bad: _rewrite(m / "reg.npz", bad, coefficients=np.ones(0))),
+    ("eigenvectors-nan", "extend",
+     lambda m, bad: _rewrite(m / "emb.npz", bad, eigenvectors=lambda a: a * np.nan)),
+    ("epsilon-negative", "extend",
+     lambda m, bad: _rewrite(m / "emb.npz", bad, epsilon=np.float64(-1.0))),
+    ("diss-kind-table", "extend",
+     lambda m, bad: _rewrite(m / "emb.npz", bad, diss_kind=np.str_("table"))),
+    # zip header fields: compression method 99 in the first central-directory
+    # record, and a first local-header extra-field length running past the end
+    ("zip-unsupported-compression", "predict", lambda m, bad: bad.write_bytes(
+        _patched(m / "reg.npz", lambda raw: raw.find(b"PK\x01\x02") + 10, 99))),
+    ("zip-extra-field-past-end", "predict",
+     lambda m, bad: bad.write_bytes(_patched(m / "reg.npz", 29, 0x80))),
+    ("eigenvectors-data-corrupt", "extend",
+     lambda m, bad: _corrupt_entry_data(m / "emb.npz", bad, "eigenvectors.npy")),
+    ("predict-on-embed-model", "predict",
+     lambda m, bad: bad.write_bytes((m / "emb.npz").read_bytes())),
+    ("prototypes-non-numeric", "fit-mixture",
+     lambda m, bad: bad.write_text(PROTO_HEADER + "0,1.0,0.1,oops,0.5\n")),
+    ("prototypes-empty-file", "fit-mixture", lambda m, bad: bad.write_text("")),
+    ("prototypes-ragged-row", "fit-mixture",
+     lambda m, bad: bad.write_text(PROTO_HEADER + "0,1.0,0.1,2.0\n")),
+    ("prototypes-no-rows", "fit-mixture", lambda m, bad: bad.write_text(PROTO_HEADER)),
+    ("prototypes-missing-column", "fit-mixture",
+     lambda m, bad: bad.write_text("id,mean_log_age,b0,b1\n0,1.0,2.0,0.5\n")),
+]
+
+
+@pytest.mark.parametrize("case,subcommand,build", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_malformed_model_or_prototypes_exits_1(models, tmp_path, capsys, case, subcommand,
+                                               build):
+    bad = tmp_path / "bad"
+    build(models, bad)
+    out = tmp_path / "out"
+    data = str(models / "d.csv")
+    argv = {
+        "predict": ["predict", "--model", str(bad), "--input", data],
+        "extend": ["extend", "--model", str(bad), "--input", data, "--response", "response"],
+        "fit-mixture": ["fit-mixture", "--prototypes", str(bad), "--input",
+                        str(_write(tmp_path / "obs.csv", OBS))],
+    }[subcommand]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:"), err
+    assert "Traceback" not in err
+    assert str(bad) in err or subcommand == "fit-mixture"
+    assert not out.exists()
+
+
+def test_predict_and_extend_round_trip_through_archives(models, tmp_path, capsys):
+    train = models / "d.csv"
+    query = _gen(tmp_path, "q.csv", n=15, seed=8)
+    preds = tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(models / "reg.npz"), "--input", str(query),
+                 "--out", str(preds)]) == 0
+
+    data = load_dataset(train, response_column="response", id_column="id")
+    dmat = pairwise_dissimilarity(data, Dissimilarity())
+    transition = build_transition(dmat, default_epsilon(dmat))
+    decomposition = decompose(transition)
+    extension = build_extension(data, transition, decomposition)
+    model = fit(data, embed(decomposition, 1, 4), extension, folds=3, seed=1)
+    points, _, _ = read_table(query, response_column="response", id_column="id")
+    got = np.array([float(row.split(",")[1]) for row in preds.read_text().splitlines()[1:]])
+    np.testing.assert_array_equal(got, predict(model, points))
+
+    # only the pairs the model uses are stored: p for regress, r for embed
+    with np.load(models / "reg.npz") as archive:
+        assert archive["eigenvalues"].shape == (model.p,)
+    with np.load(models / "emb.npz") as archive:
+        assert archive["eigenvectors"].shape == (data.n, 3)
+
+    # extend takes either kind of model; its default r is the stored pair count
+    ext = tmp_path / "ext.csv"
+    assert main(["extend", "--model", str(models / "reg.npz"), "--input", str(query),
+                 "--response", "response", "--out", str(ext)]) == 0
+    assert ext.read_text().splitlines()[0] == ",".join(
+        ["id"] + [f"psi_{j}" for j in range(1, model.p + 1)])
+    capsys.readouterr()
+    assert main(["extend", "--model", str(models / "emb.npz"), "--input", str(query),
+                 "--response", "response", "--r", "4", "--out", str(ext)]) == 1
+    assert "stores 3 nontrivial eigenpairs" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sca import kernels
 from sca.dataset import DataSet
 from sca.errors import NumericalError, ValidationError
 from sca.markov import build_transition
@@ -158,6 +159,19 @@ def test_empty_query_block():
     assert coords.shape == (0, 3)
 
 
+@pytest.mark.parametrize("diss_kind", ["sqeuclidean", "euclidean"])
+def test_kernel_weights_bitwise_equal_to_out_of_place_expression(diss_kind):
+    data = gaussian_dataset(40, 3, 21)
+    _, _, _, ext = full_pipeline(data, diss_kind=diss_kind)
+    q = np.random.default_rng(22).normal(size=(25, 3))
+    dists = kernels.cross_sq_dists(q, ext.points)
+    if diss_kind == "euclidean":
+        dists = np.sqrt(dists)
+    weights = np.exp(-dists / ext.epsilon)
+    expected = weights / weights.sum(axis=1)[:, None]
+    np.testing.assert_array_equal(kernel_weights(ext, q), expected)
+
+
 def test_query_dimension_mismatch():
     data = gaussian_dataset(9, 2, 12)
     _, _, _, ext = full_pipeline(data)
@@ -170,7 +184,7 @@ def _truncated(ext, p):
     dec = ext.decomposition
     kept = SpectralDecomposition(
         eigenvalues=dec.eigenvalues[:p], eigenvectors=dec.eigenvectors[:, :p],
-        trivial_eigenvalue=1.0, trivial_eigenvector=np.ones(ext.n), phi0=dec.phi0)
+        phi0=dec.phi0)
     return ExtensionModel(points=ext.points, decomposition=kept,
                           epsilon=ext.epsilon, diss_kind=ext.diss_kind)
 

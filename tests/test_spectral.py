@@ -31,9 +31,10 @@ def _embedding_pair_distances(coords):
 # --- decompose --------------------------------------------------------------
 
 def test_two_point_uniform_chain_spectrum():
-    s = decompose(_uniform_two_point())
-    assert s.trivial_eigenvalue == 1.0
-    np.testing.assert_array_equal(s.trivial_eigenvector, [1.0, 1.0])
+    t = _uniform_two_point()
+    s = decompose(t)
+    # the trivial pair is not stored: A 1 = 1 holds for any chain
+    np.testing.assert_array_equal(t.matrix @ np.ones(2), [1.0, 1.0])
     np.testing.assert_allclose(s.eigenvalues, [0.0], atol=1e-15)
 
 
@@ -44,7 +45,7 @@ def test_three_point_chain_matches_generic_eigensolver():
     s = decompose(t)
     oracle = np.sort(np.real(np.linalg.eigvals(np.array(t.matrix))))[::-1]
     np.testing.assert_allclose(
-        np.concatenate([[s.trivial_eigenvalue], s.eigenvalues]), oracle, atol=1e-9
+        np.concatenate([[1.0], s.eigenvalues]), oracle, atol=1e-9
     )
 
 
@@ -118,8 +119,7 @@ def test_embed_r_bounded_by_stored_pairs():
     data = gaussian_dataset(12, 2, 9)
     _, _, s = pipeline(data)
     short = SpectralDecomposition(
-        eigenvalues=s.eigenvalues[:4], eigenvectors=s.eigenvectors[:, :4],
-        trivial_eigenvalue=1.0, trivial_eigenvector=np.ones(s.n), phi0=s.phi0)
+        eigenvalues=s.eigenvalues[:4], eigenvectors=s.eigenvectors[:, :4], phi0=s.phi0)
     np.testing.assert_array_equal(embed(short, 2, 4).coords, embed(s, 2, 4).coords)
     with pytest.raises(ValidationError, match="stores 4"):
         embed(short, 1, 5)
