@@ -32,7 +32,7 @@ from .prototypes import (
     quantization_benchmark,
 )
 from .regression import EigenbasisRegression, fit, fitted_values, predict
-from .spectral import SpectralDecomposition, decompose, embed
+from .spectral import DEFAULT_PAIRS, SpectralDecomposition, decompose, embed
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +136,8 @@ def _embedding_pipeline(args, data):
     epsilon = _resolve_epsilon(args.epsilon, dmat)
     transition = build_transition(dmat, epsilon, diss_kind=diss.kind,
                                   cutoff=args.kernel_cutoff)
-    decomposition = decompose(transition)
-    r = args.r if args.r is not None else min(50, data.n - 1)
+    r = args.r if args.r is not None else min(DEFAULT_PAIRS, data.n - 1)
+    decomposition = decompose(transition, r)
     return transition, decomposition, embed(decomposition, args.t, r), epsilon, r
 
 
@@ -382,7 +382,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_prototype(args) -> int:
     lib = load_component_library(args.input, ref_index=args.ref_index)
-    r = args.r if args.r is not None else min(50, lib.n_components - 1)
+    r = args.r if args.r is not None else min(DEFAULT_PAIRS, lib.n_components - 1)
     proto = diffusion_kmeans(lib, args.k, t=args.t, r=r, seed=args.seed,
                              epsilon=args.epsilon_value)
     prefix = args.out_prefix or str(Path(args.input).with_suffix(""))

@@ -18,9 +18,14 @@ from . import kernels
 from .dataset import frozen_array, parse_table
 from .errors import NumericalError, ValidationError
 from .markov import build_transition, default_epsilon
-from .spectral import decompose, embed
+from .spectral import DEFAULT_PAIRS, decompose, embed
 
 KKT_TOL = 1e-8
+
+
+def _check_ref_index(ref_index: int, d: int) -> None:
+    if not 0 <= ref_index < d:
+        raise ValidationError(f"ref_index {ref_index} out of range for d={d}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,7 @@ class ComponentLibrary:
         if not np.isfinite(spectra).all():
             raise ValidationError("spectra contain non-finite entries")
         n, d = spectra.shape
-        if not 0 <= self.ref_index < d:
-            raise ValidationError(f"ref_index {self.ref_index} out of range for d={d}")
+        _check_ref_index(self.ref_index, d)
         if not np.allclose(spectra[:, self.ref_index], 1.0, rtol=0, atol=1e-9):
             raise ValidationError(
                 f"spectra are not normalized to 1 at reference index {self.ref_index}"
@@ -61,6 +65,7 @@ class ComponentLibrary:
     def normalize(cls, spectra, ages, metallicities, ref_index: int = 0):
         """Divide each spectrum by its value at the reference coordinate."""
         spectra = np.asarray(spectra, dtype=np.float64)
+        _check_ref_index(ref_index, spectra.shape[-1])
         ref = spectra[:, ref_index]
         if (ref <= 0).any() or not np.isfinite(ref).all():
             raise ValidationError(
@@ -167,10 +172,9 @@ def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
     dmat = kernels.pairwise_sq_dists(spectra)
     eps = default_epsilon(dmat) if epsilon is None else float(epsilon)
     transition = build_transition(dmat, eps)
-    decomposition = decompose(transition)
     if r is None:
-        r = min(50, n - 1)
-    coords = np.ascontiguousarray(embed(decomposition, t, r).coords)
+        r = min(DEFAULT_PAIRS, n - 1)
+    coords = np.ascontiguousarray(embed(decompose(transition, r), t, r).coords)
 
     rng = np.random.default_rng(seed)
     centroids = np.ascontiguousarray(_kmeans_pp_seed(coords, k, rng))
@@ -354,6 +358,8 @@ def fit_mixture(proto: PrototypeSet, y: np.ndarray, noise_sd: float = 1.0) -> Mi
     if not np.isfinite(y).all():
         raise ValidationError("observation contains non-finite entries")
     k = p.shape[0]
+    if k == 0:
+        raise ValidationError("prototype set is empty; a mixture needs at least one prototype")
     gram = 2.0 * (p @ p.T)
     lin = 2.0 * (p @ y)
     # reduced gradients this close to zero are rounding, not descent

@@ -48,24 +48,45 @@ def _design(basis: np.ndarray, p: int) -> np.ndarray:
 def basis_risk_curve(basis: np.ndarray, y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """K-fold CV squared-error risk for each truncation p = 1..r.
 
-    Folds reuse the full-sample basis and refit coefficients only;
-    under-determined fold designs at large p fall back to the
-    minimum-norm least-squares solution.
+    Folds reuse the full-sample basis and refit coefficients only; see
+    :func:`_fold_squared_errors` for how one fold scores every p.
     """
     n, r = basis.shape
-    fold_sets = kfold_indices(n, folds, seed)
-    risks = np.empty(r)
-    for p in range(1, r + 1):
-        design = _design(basis, p)
-        total_sq = 0.0
-        for held_out in fold_sets:
-            train = np.ones(n, dtype=bool)
-            train[held_out] = False
-            beta = np.linalg.lstsq(design[train], y[train], rcond=None)[0]
-            pred = design[held_out] @ beta
-            total_sq += float(np.sum((pred - y[held_out]) ** 2))
-        risks[p - 1] = total_sq / n
-    return risks
+    design = _design(basis, r)
+    total_sq = np.zeros(r)
+    for held_out in kfold_indices(n, folds, seed):
+        train = np.ones(n, dtype=bool)
+        train[held_out] = False
+        total_sq += _fold_squared_errors(design[train], y[train],
+                                         design[held_out], y[held_out])
+    return total_sq / n
+
+
+def _fold_squared_errors(train_x, train_y, held_x, held_y) -> np.ndarray:
+    """Held-out squared error of the least-squares fit on columns 0..p, p = 1..r.
+
+    One thin QR of the training design serves every p: with Q^T y = c,
+    the fit on the leading p+1 columns predicts held_x[:, :p+1] R_p^{-1}
+    c[:p+1], the p-th partial sum of (held_x R^{-1}) * c.  From the first
+    numerically zero |R_jj| on (and for p + 1 beyond the training rows)
+    each p falls back to the minimum-norm ``lstsq`` solution.
+    """
+    m, k = train_x.shape
+    q, rr = np.linalg.qr(train_x)
+    pivots = np.abs(np.diag(rr))
+    zero = np.flatnonzero(pivots <= max(m, k) * np.finfo(float).eps * pivots.max())
+    solved = int(zero[0]) if zero.size else pivots.size
+    # z = held_x[:, :solved] R^{-1} by forward substitution over the columns
+    z = np.empty((held_x.shape[0], solved))
+    for j in range(solved):
+        z[:, j] = (held_x[:, j] - z[:, :j] @ rr[:j, j]) / rr[j, j]
+    preds = np.cumsum(z * (q.T[:solved] @ train_y)[None, :], axis=1)
+    errors = np.empty(k - 1)
+    errors[:solved - 1] = np.sum((preds[:, 1:] - held_y[:, None]) ** 2, axis=0)
+    for p in range(solved, k):
+        beta = np.linalg.lstsq(train_x[:, :p + 1], train_y, rcond=None)[0]
+        errors[p - 1] = np.sum((held_x[:, :p + 1] @ beta - held_y) ** 2)
+    return errors
 
 
 def _refit(basis: np.ndarray, y: np.ndarray, p: int):

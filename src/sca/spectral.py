@@ -9,13 +9,24 @@ from .dataset import frozen_array
 from .errors import NumericalError, ValidationError
 from .markov import StationaryDistribution, TransitionMatrix
 
+# Nontrivial pairs ``decompose`` keeps when no r is given.
+DEFAULT_PAIRS = 50
+
+# Block Krylov solver: block = wanted pairs + _GUARD, basis [X, M X, M^2 X],
+# residual tolerance on the unit-norm symmetric conjugate, fixed start seed.
+_GUARD = 8
+_DEPTH = 3
+_RESIDUAL_TOL = 1e-11
+_START_SEED = 0
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Nontrivial spectrum of A in descending eigenvalue order.
 
-    ``decompose`` stores all n-1 nontrivial pairs; a model read back from
-    disk may store only the leading ones.
+    ``decompose`` stores the leading ``r`` nontrivial pairs (by default
+    ``min(DEFAULT_PAIRS, n - 1)``); a model read back from disk stores
+    the ones it uses.
 
     Right eigenvectors are normalized to be orthonormal under the
     phi0-weighted inner product, which makes the euclidean metric of the
@@ -24,8 +35,8 @@ class SpectralDecomposition:
     every chain and is not stored.
     """
 
-    eigenvalues: np.ndarray      # (n-1,) descending
-    eigenvectors: np.ndarray     # (n, n-1), column j evaluates psi_{j+1}
+    eigenvalues: np.ndarray      # (r,) descending
+    eigenvectors: np.ndarray     # (n, r), column j evaluates psi_{j+1}
     phi0: np.ndarray
 
     def __post_init__(self):
@@ -49,38 +60,114 @@ class DiffusionEmbedding:
         object.__setattr__(self, "coords", frozen_array(self.coords))
 
 
-def decompose(transition: TransitionMatrix) -> SpectralDecomposition:
-    """Eigendecompose A via conjugation to a symmetric matrix.
+def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
+    """Leading r nontrivial eigenpairs of A, via its symmetric conjugate.
 
     With kernel row sums s, M = S^{1/2} A S^{-1/2} is symmetric; its
     orthonormal eigenvectors map back to right eigenvectors of A, which
-    are then scaled to phi0-orthonormality.  Sign convention: the entry
-    of largest magnitude in each eigenvector is positive (ties broken by
+    are then scaled to phi0-orthonormality.  ``r=None`` keeps
+    ``min(DEFAULT_PAIRS, n - 1)`` pairs.  Sign convention: the entry of
+    largest magnitude in each eigenvector is positive (ties broken by
     lowest index).
+
+    When the Krylov basis is small next to n the leading pairs come from
+    :func:`_krylov_pairs`; otherwise, or when that solver does not reach
+    its tolerance within its budget, from a full ``eigh``.
     """
+    n = transition.n
+    if r is None:
+        r = min(DEFAULT_PAIRS, n - 1)
+    elif not isinstance(r, (int, np.integer)) or not 1 <= r <= n - 1:
+        raise ValidationError(
+            f"number of eigenpairs r must lie in [1, {n - 1}], got {r!r}")
+    r = int(r)
     a = transition.matrix
     s = transition.kernel_row_sums
     sqrt_s = np.sqrt(s)
     sym = a * (sqrt_s[:, None] / sqrt_s[None, :])
     sym = 0.5 * (sym + sym.T)
-    try:
-        eigvals, eigvecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
-    # ascending from eigh; flip to descending and drop the trivial top pair
-    eigvals = eigvals[::-1][1:]
-    eigvecs = eigvecs[:, ::-1][:, 1:]
+    block = r + 1 + _GUARD
+    pairs = None
+    if 2 * _DEPTH * block <= n:
+        pairs = _krylov_pairs(sym, sqrt_s / np.linalg.norm(sqrt_s), r + 1, block)
+    eigvals, eigvecs = _eigh_pairs(sym, r + 1) if pairs is None else pairs
+    # drop the trivial top pair
+    eigvals = eigvals[1:]
+    eigvecs = eigvecs[:, 1:]
     total = s.sum()
     psi = (eigvecs / sqrt_s[:, None]) * np.sqrt(total)
-    for j in range(psi.shape[1]):
-        lead = np.argmax(np.abs(psi[:, j]))
-        if psi[lead, j] < 0:
-            psi[:, j] = -psi[:, j]
+    lead = np.argmax(np.abs(psi), axis=0)
+    psi[:, psi[lead, np.arange(r)] < 0] *= -1.0
     return SpectralDecomposition(
         eigenvalues=eigvals,
         eigenvectors=psi,
         phi0=s / total,
     )
+
+
+def _eigh_pairs(sym: np.ndarray, wanted: int):
+    """Leading ``wanted`` pairs of a full ``eigh``, in descending order."""
+    try:
+        eigvals, eigvecs = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+    return eigvals[::-1][:wanted], eigvecs[:, ::-1][:, :wanted]
+
+
+def _orthonormalize(w: np.ndarray, previous) -> np.ndarray:
+    """Orthonormal basis for the columns of w with span(previous) removed.
+
+    Block Gram-Schmidt against the orthonormal blocks in ``previous``,
+    each pass followed by a Householder QR.  The second pass (DGKS)
+    works on unit columns, so a column that the first pass left at
+    rounding level (the Krylov image of a converged eigenvector is
+    nearly in ``previous``) still comes out orthogonal to ``previous``.
+    """
+    for _ in range(2):
+        for q in previous:
+            w = w - q @ (q.T @ w)
+        w = np.linalg.qr(w)[0]
+    return w
+
+
+def _krylov_pairs(sym: np.ndarray, v0: np.ndarray, wanted: int, block: int):
+    """Leading ``wanted`` pairs of sym by restarted block Krylov-Rayleigh-Ritz.
+
+    Each restart spans [X, M X, M^2 X] from the current ``block`` Ritz
+    vectors X (the first start block holds v0 and seeded Gaussian
+    columns), and keeps the leading ``block`` Ritz pairs of M on that
+    span.  It stops when every wanted pair has ||M x - theta x||_2 <=
+    ``_RESIDUAL_TOL`` (||M||_2 = 1 for a diffusion operator) and returns
+    (theta, X) in descending order.  Returns None when the products with
+    M reach 2n columns (4n^3 flops), about the work of a full ``eigh``,
+    or as soon as the rate at which the largest residual fell over the
+    last two restarts would not reach the tolerance within that budget.
+    """
+    n = sym.shape[0]
+    start = np.random.default_rng(_START_SEED).standard_normal((n, block))
+    start[:, 0] = v0
+    x = np.linalg.qr(start)[0]
+    mx = sym @ x
+    restarts = 2 * n // ((_DEPTH - 1) * block)
+    worst = []
+    for done in range(1, restarts + 1):
+        blocks, images = [x], [mx]
+        for _ in range(_DEPTH - 1):
+            blocks.append(_orthonormalize(images[-1], blocks))
+            images.append(sym @ blocks[-1])
+        basis, image = np.hstack(blocks), np.hstack(images)
+        h = basis.T @ image
+        theta, y = np.linalg.eigh(0.5 * (h + h.T))
+        theta, y = theta[::-1][:block], y[:, ::-1][:, :block]
+        x, mx = basis @ y, image @ y
+        residual = mx[:, :wanted] - x[:, :wanted] * theta[None, :wanted]
+        worst.append(np.linalg.norm(residual, axis=0).max())
+        if worst[-1] <= _RESIDUAL_TOL:
+            return theta[:wanted], x[:, :wanted]
+        if done >= 3 and (worst[-1] / worst[-3]) ** ((restarts - done) / 2) > \
+                _RESIDUAL_TOL / worst[-1]:
+            return None
+    return None
 
 
 def _check_time(t) -> int:

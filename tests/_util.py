@@ -28,7 +28,7 @@ def full_pipeline(data, t=1, r=None, diss_kind="sqeuclidean", epsilon=None):
     """data -> (transition, decomposition, embedding, extension)."""
     _, transition, decomposition = pipeline(data, diss_kind=diss_kind, epsilon=epsilon)
     if r is None:
-        r = data.n - 1
+        r = decomposition.eigenvalues.size
     embedding = embed(decomposition, t, r)
     extension = build_extension(data, transition, decomposition)
     return transition, decomposition, embedding, extension

@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sca
 from sca.cli import config_argv, main
 from sca.dataset import Dissimilarity, load_dataset, pairwise_dissimilarity, read_table
 from sca.markov import build_transition, default_epsilon
@@ -194,6 +199,61 @@ def test_bench_quantization_report(tmp_path):
     assert set(report["methods"]) == {"diffusion", "grid"}
     assert len(report["methods"]["grid"]["trials"]) == 2
     assert report["kmeans_wcss"]
+
+
+@pytest.mark.parametrize("subcommand", ["prototype", "bench-quantization"])
+def test_library_ref_index_out_of_range_exits_1(tmp_path, capsys, subcommand):
+    lib = tmp_path / "lib.csv"
+    assert main(["gen", "--kind", "degenerate-components", "--n", "20", "--bins", "40",
+                 "--seed", "7", "--out", str(lib)]) == 0
+    capsys.readouterr()
+    argv = [subcommand, "--input", str(lib), "--k", "3", "--seed", "1", "--ref-index", "99"]
+    if subcommand == "bench-quantization":
+        argv += ["--trials", "1", "--noise", "0.01", "--out", str(tmp_path / "b.json")]
+    else:
+        argv += ["--out-prefix", str(tmp_path / "proto")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ref_index 99 out of range for d=40" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lib.csv", "lib.csv.meta.json"]
+
+
+def test_embed_r_beyond_default_pair_count(tmp_path, capsys):
+    data = _gen(tmp_path, n=120)
+    out = tmp_path / "coords.csv"
+    assert main(["embed", "--input", str(data), "--response", "response", "--r", "80",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0].split(",")[-1] == "psi_80"
+    capsys.readouterr()
+    assert main(["embed", "--input", str(data), "--response", "response", "--r", "120",
+                 "--out", str(out)]) == 1
+    assert "eigenpairs r must lie in [1, 119]" in capsys.readouterr().err
+
+
+_RUN_WITHOUT_SCIPY = """
+import sys
+from pathlib import Path
+from sca.cli import main
+work = Path(sys.argv[1])
+data = str(work / "d.csv")
+assert main(["gen", "--kind", "swiss-roll", "--n", "400", "--noise-sd", "0.1",
+             "--seed", "1", "--out", data]) == 0
+assert main(["regress", "--input", data, "--response", "response", "--seed", "1",
+             "--out-model", str(work / "m.npz")]) == 0
+assert main(["embed", "--input", data, "--response", "response",
+             "--out", str(work / "c.csv")]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_regress_and_embed_never_import_scipy(tmp_path):
+    # n = 400 takes the block Krylov eigensolver, which is numpy only
+    src = str(Path(sca.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_embed_with_user_dissimilarity_table(tmp_path):

@@ -60,6 +60,13 @@ def test_library_normalize_classmethod():
     assert (lib.spectra[:, 1] == 1.0).all()
 
 
+@pytest.mark.parametrize("ref_index", [4, 99, -1])
+def test_library_normalize_rejects_out_of_range_ref_index(ref_index):
+    with pytest.raises(ValidationError, match=f"ref_index {ref_index} out of range for d=4"):
+        ComponentLibrary.normalize(np.ones((2, 4)), [1.0, 2.0], [0.1, 0.2],
+                                   ref_index=ref_index)
+
+
 def test_library_rejects_nonpositive_parameters():
     spectra = np.ones((2, 3))
     with pytest.raises(ValidationError, match="ages"):
@@ -448,3 +455,8 @@ def test_benchmark_deterministic_given_seed():
     a = quantization_benchmark(lib, 4, 2, 0.05, seed=9)
     b = quantization_benchmark(lib, 4, 2, 0.05, seed=9)
     assert a.to_dict() == b.to_dict()
+
+
+def test_fit_mixture_rejects_empty_prototype_set():
+    with pytest.raises(ValidationError, match="prototype set is empty"):
+        fit_mixture(_loose_protoset(np.empty((0, 5))), np.ones(5))

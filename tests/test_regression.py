@@ -197,3 +197,58 @@ def test_basis_risk_curve_matches_fit_curve():
     model = fit(_with_response(data, y), emb, ext, folds=4, seed=5)
     manual = basis_risk_curve(emb.coords, y, 4, 5)
     assert np.array_equal(manual, model.cv_risk_curve)
+
+
+# --- one QR per fold against per-p least squares --------------------------------
+
+def _lstsq_risk_curve(basis, y, folds, seed):
+    """Risk oracle: a fresh minimum-norm lstsq fit for every (p, fold)."""
+    n, r = basis.shape
+    risks = np.empty(r)
+    for p in range(1, r + 1):
+        design = np.column_stack([np.ones(n), basis[:, :p]])
+        total_sq = 0.0
+        for held_out in kfold_indices(n, folds, seed):
+            train = np.ones(n, dtype=bool)
+            train[held_out] = False
+            beta = np.linalg.lstsq(design[train], y[train], rcond=None)[0]
+            total_sq += float(np.sum((design[held_out] @ beta - y[held_out]) ** 2))
+        risks[p - 1] = total_sq / n
+    return risks
+
+
+def _assert_risks_match_oracle(basis, y, folds, seed):
+    risks = basis_risk_curve(basis, y, folds, seed)
+    oracle = _lstsq_risk_curve(basis, y, folds, seed)
+    assert np.abs(risks - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert np.argmin(risks) == np.argmin(oracle)
+
+
+def test_qr_risk_curve_matches_lstsq_on_swiss_roll_basis():
+    data = generate(GeneratorSpec(kind="swiss-roll", n=400, noise_sd=0.3, seed=4))
+    _, dec, _, _ = full_pipeline(data, r=50)
+    emb = embed(dec, 1, 50)
+    _assert_risks_match_oracle(emb.coords, data.response, 10, 3)
+
+
+def test_qr_risk_curve_matches_lstsq_on_underdetermined_folds():
+    # 2 folds of 12 rows train on 6 rows, fewer than the 12 design columns
+    rng = np.random.default_rng(5)
+    _assert_risks_match_oracle(rng.normal(size=(12, 11)), rng.normal(size=12), 2, 0)
+
+
+def test_qr_risk_curve_matches_lstsq_with_duplicate_points():
+    data = gaussian_dataset(30, 3, 6)
+    points = np.vstack([data.points, data.points[:10]])
+    doubled = DataSet(points=points, ids=tuple(str(i) for i in range(40)))
+    _, dec, _, _ = full_pipeline(doubled, r=20)
+    y = np.random.default_rng(6).normal(size=40)
+    _assert_risks_match_oracle(embed(dec, 1, 20).coords, y, 5, 1)
+
+
+def test_qr_risk_curve_matches_lstsq_on_rank_deficient_columns():
+    # column 3 repeats column 1, so R_33 is zero and p >= 3 use lstsq
+    rng = np.random.default_rng(7)
+    basis = rng.normal(size=(50, 6))
+    basis[:, 2] = basis[:, 0]
+    _assert_risks_match_oracle(basis, rng.normal(size=50), 5, 2)

@@ -1,17 +1,27 @@
 """Spectral decomposition, diffusion coordinates, and the distance oracle."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sca import spectral
+from sca.dataset import DataSet, Dissimilarity, pairwise_dissimilarity
 from sca.errors import ValidationError
-from sca.markov import build_transition, stationary_distribution
+from sca.markov import build_transition, default_epsilon, stationary_distribution
 from sca.spectral import (
+    DEFAULT_PAIRS,
     SpectralDecomposition,
     decompose,
     diffusion_distance,
     diffusion_distance_matrix,
     embed,
 )
+from sca.synthetic import GeneratorSpec, generate
 
 from _util import gaussian_dataset, pipeline
 
@@ -219,3 +229,181 @@ def test_diffusion_distance_index_validation():
     phi0 = stationary_distribution(t)
     with pytest.raises(ValidationError):
         diffusion_distance(t, phi0, 1, 0, 8)
+
+
+# --- partial spectrum against the full eigh oracle -----------------------------
+
+def _full_eigh_oracle(transition):
+    """Every nontrivial pair from one full eigh of the symmetric conjugate.
+
+    This is the whole-spectrum decomposition, step for step: conjugate,
+    eigh, descending order without the trivial top pair, phi0-orthonormal
+    scaling, largest-magnitude entry positive.
+    """
+    a = transition.matrix
+    s = transition.kernel_row_sums
+    sqrt_s = np.sqrt(s)
+    sym = a * (sqrt_s[:, None] / sqrt_s[None, :])
+    sym = 0.5 * (sym + sym.T)
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    eigvals = eigvals[::-1][1:]
+    eigvecs = eigvecs[:, ::-1][:, 1:]
+    total = s.sum()
+    psi = (eigvecs / sqrt_s[:, None]) * np.sqrt(total)
+    for j in range(psi.shape[1]):
+        lead = np.argmax(np.abs(psi[:, j]))
+        if psi[lead, j] < 0:
+            psi[:, j] = -psi[:, j]
+    return eigvals, psi
+
+
+def _transition_of(points, epsilon_scale=1.0):
+    data = DataSet(points=points, ids=tuple(str(i) for i in range(len(points))))
+    dmat = pairwise_dissimilarity(data, Dissimilarity())
+    return build_transition(dmat, default_epsilon(dmat) * epsilon_scale)
+
+
+def _swiss_roll(n, seed=1):
+    return generate(GeneratorSpec(kind="swiss-roll", n=n, noise_sd=0.05, seed=seed)).points
+
+
+def _two_blobs(n, seed=1):
+    points = np.random.default_rng(seed).normal(size=(n, 3))
+    points[n // 2:, 0] += 10.0
+    return points
+
+
+def _assert_matches_oracle(transition, dec):
+    lam, psi = _full_eigh_oracle(transition)
+    r = dec.eigenvalues.size
+    assert np.abs(dec.eigenvalues - lam[:r]).max() <= 1e-13
+    residual = transition.matrix @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+    assert np.abs(residual).max() <= 1e-10
+    # |cos| in the phi0 inner product, for pairs separated from both neighbours
+    cos = np.abs(np.sum(dec.eigenvectors * psi[:, :r] * dec.phi0[:, None], axis=0))
+    spectrum = np.concatenate([[1.0], lam, [-np.inf]])
+    gaps = np.minimum(spectrum[:r] - spectrum[1:r + 1], spectrum[1:r + 1] - spectrum[2:r + 2])
+    separated = gaps > 1e-6
+    assert separated.any()
+    assert (cos[separated] >= 1.0 - 1e-10).all()
+
+
+def _forbid_full_eigh(monkeypatch):
+    def fail(sym, wanted):
+        raise AssertionError("full eigh fallback taken")
+    monkeypatch.setattr(spectral, "_eigh_pairs", fail)
+
+
+def _count_full_eigh(monkeypatch):
+    calls = []
+    real = spectral._eigh_pairs
+
+    def spy(sym, wanted):
+        calls.append(sym.shape[0])
+        return real(sym, wanted)
+    monkeypatch.setattr(spectral, "_eigh_pairs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+@pytest.mark.parametrize("r", [5, 10, 50])
+def test_krylov_pairs_match_full_eigh_on_swiss_roll(monkeypatch, n, r):
+    transition = _transition_of(_swiss_roll(n))
+    _forbid_full_eigh(monkeypatch)
+    dec = decompose(transition, r)
+    assert dec.eigenvalues.shape == (r,) and dec.eigenvectors.shape == (n, r)
+    _assert_matches_oracle(transition, dec)
+
+
+@pytest.mark.parametrize("points, scale, r, fallback", [
+    (_swiss_roll(1000), 0.05, 50, False),   # slow decay: about 10 restarts
+    (_swiss_roll(1000), 0.02, 50, True),    # slower still: the budget runs out
+    (_swiss_roll(400), 0.02, 10, True),
+    (_swiss_roll(1000), 5.0, 50, False),    # near-degenerate tail, gaps down to 1e-10
+    (_two_blobs(1000), 1.0, 50, False),
+    (_two_blobs(400), 1.0, 10, False),
+], ids=["roll-eps0.05-n1000", "roll-eps0.02-n1000", "roll-eps0.02-n400", "roll-eps5",
+        "blobs-n1000", "blobs-n400"])
+def test_hard_spectra_match_full_eigh(monkeypatch, points, scale, r, fallback):
+    transition = _transition_of(points, scale)
+    calls = _count_full_eigh(monkeypatch)
+    dec = decompose(transition, r)
+    assert bool(calls) == fallback
+    _assert_matches_oracle(transition, dec)
+
+
+def test_slow_krylov_convergence_falls_back_to_eigh_early(monkeypatch):
+    # a 10-D Gaussian at a small bandwidth has a flat leading spectrum: the
+    # largest residual falls about 15% per restart, so the solver gives up
+    # after its third restart rather than spend its 16-restart budget
+    transition = _transition_of(np.random.default_rng(1).normal(size=(1000, 10)), 0.1)
+    calls = _count_full_eigh(monkeypatch)
+    passes = []
+    real = spectral._orthonormalize
+
+    def counted(w, previous):
+        passes.append(len(previous))
+        return real(w, previous)
+    monkeypatch.setattr(spectral, "_orthonormalize", counted)
+    dec = decompose(transition)
+    assert calls == [1000]
+    assert len(passes) == 3 * (spectral._DEPTH - 1)
+    lam, psi = _full_eigh_oracle(transition)
+    assert np.array_equal(dec.eigenvalues, lam[:50])
+    assert np.array_equal(dec.eigenvectors, psi[:, :50])
+
+
+def test_small_n_default_is_leading_pairs_of_full_eigh_bitwise():
+    # n = 120 is below the Krylov size, so the default 50 pairs are the
+    # leading pairs of the full-spectrum decomposition bit for bit
+    lib = generate(GeneratorSpec(kind="degenerate-components", n=120, seed=11,
+                                 separation=0.01))
+    transition = _transition_of(lib.spectra)
+    dec = decompose(transition)
+    lam, psi = _full_eigh_oracle(transition)
+    assert np.array_equal(dec.eigenvalues, lam[:DEFAULT_PAIRS])
+    assert np.array_equal(dec.eigenvectors, psi[:, :DEFAULT_PAIRS])
+
+
+_HASH_DECOMPOSITION = """
+import hashlib
+import numpy as np
+from sca.dataset import DataSet, Dissimilarity, pairwise_dissimilarity
+from sca.markov import build_transition, default_epsilon
+from sca.spectral import decompose
+from sca.synthetic import GeneratorSpec, generate
+points = generate(GeneratorSpec(kind="swiss-roll", n=1000, noise_sd=0.05, seed=1)).points
+data = DataSet(points=points, ids=tuple(str(i) for i in range(len(points))))
+dmat = pairwise_dissimilarity(data, Dissimilarity())
+dec = decompose(build_transition(dmat, default_epsilon(dmat)))
+print(hashlib.sha256(dec.eigenvalues.tobytes() + dec.eigenvectors.tobytes()).hexdigest())
+"""
+
+
+def test_krylov_decompose_bitwise_repeatable_in_process_and_subprocess(monkeypatch):
+    transition = _transition_of(_swiss_roll(1000))
+    _forbid_full_eigh(monkeypatch)
+    first, second = decompose(transition), decompose(transition)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.eigenvectors, second.eigenvectors)
+    digest = hashlib.sha256(first.eigenvalues.tobytes() +
+                            first.eigenvectors.tobytes()).hexdigest()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(spectral.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _HASH_DECOMPOSITION], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == digest
+
+
+def test_decompose_default_pair_count_and_r_validation():
+    transition = _transition_of(_swiss_roll(200))
+    assert decompose(transition).eigenvalues.shape == (DEFAULT_PAIRS,)
+    assert decompose(transition, 80).eigenvalues.shape == (80,)
+    assert decompose(transition, 199).eigenvalues.shape == (199,)
+    for bad in (0, 200, -1, 2.0, "5"):
+        with pytest.raises(ValidationError, match="eigenpairs r"):
+            decompose(transition, bad)
+    with pytest.raises(ValidationError, match=f"stores {DEFAULT_PAIRS}"):
+        embed(decompose(transition), 1, 80)
+    small = _uniform_two_point()
+    assert decompose(small).eigenvalues.shape == (1,)
