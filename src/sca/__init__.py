@@ -14,6 +14,7 @@ from .nystrom import (
     ExtensionModel,
     build_extension,
     extend_eigenfunction,
+    extend_eigenfunctions,
     extend_embedding,
 )
 from .prototypes import (
@@ -64,6 +65,7 @@ __all__ = [
     "diffusion_kmeans",
     "embed",
     "extend_eigenfunction",
+    "extend_eigenfunctions",
     "extend_embedding",
     "fit",
     "fit_mixture",

@@ -32,7 +32,7 @@ from .prototypes import (
     quantization_benchmark,
 )
 from .regression import EigenbasisRegression, fit, fitted_values, predict
-from .spectral import DEFAULT_PAIRS, SpectralDecomposition, decompose, embed
+from .spectral import SpectralDecomposition, decompose, embed
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +130,14 @@ def _resolve_epsilon(eps_text: str, dmat: np.ndarray) -> float:
     return value
 
 
-def _embedding_pipeline(args, data):
+def _embedding_pipeline(args, data, t: int):
     diss = _parse_diss(args.diss)
     dmat = pairwise_dissimilarity(data, diss)
     epsilon = _resolve_epsilon(args.epsilon, dmat)
-    transition = build_transition(dmat, epsilon, diss_kind=diss.kind,
-                                  cutoff=args.kernel_cutoff)
-    r = args.r if args.r is not None else min(DEFAULT_PAIRS, data.n - 1)
-    decomposition = decompose(transition, r)
-    return transition, decomposition, embed(decomposition, args.t, r), epsilon, r
+    transition = build_transition(dmat, epsilon, diss_kind=diss.kind)
+    decomposition = decompose(transition, args.r)
+    embedding = embed(decomposition, t, decomposition.eigenvalues.size)
+    return transition, decomposition, embedding, epsilon
 
 
 def _coords_rows(ids, coords):
@@ -272,7 +271,7 @@ def _load_model(path):
         raise fault(f"has {p} coefficients for {k} stored eigenpairs; "
                     f"expected between 1 and {k}")
     regression = EigenbasisRegression(
-        intercept=r["intercept"], coefficients=r["coefficients"], p=p, t=e["t"],
+        intercept=r["intercept"], coefficients=r["coefficients"], p=p,
         cv_risk_curve=r["cv_risk_curve"], extension=extension,
         folds=r["folds"], seed=r["seed"])
     return extension, e["t"], regression, r["response_column"]
@@ -287,15 +286,15 @@ def _read_input(args):
 def _cmd_embed(args) -> int:
     table, id_column = _read_input(args)
     data = load_dataset(table, response_column=args.response, id_column=id_column)
-    transition, decomposition, embedding, epsilon, r = _embedding_pipeline(args, data)
+    transition, decomposition, embedding, epsilon = _embedding_pipeline(args, data, args.t)
+    r = embedding.r
     if args.save_model:
         extension = build_extension(data, transition, decomposition)
     out = args.out or _derived_out(args.input, ".coords.csv")
     config = {
         "subcommand": "embed", "input": args.input, "t": args.t, "r": r,
         "epsilon": epsilon, "diss": args.diss, "response": args.response,
-        "id_column": id_column, "kernel_cutoff": args.kernel_cutoff,
-        "out": out, "save_model": args.save_model,
+        "id_column": id_column, "out": out, "save_model": args.save_model,
     }
     info = {
         "n": data.n, "d": data.d,
@@ -334,24 +333,24 @@ def _cmd_extend(args) -> int:
 def _cmd_regress(args) -> int:
     table, id_column = _read_input(args)
     data = load_dataset(table, response_column=args.response, id_column=id_column)
-    transition, decomposition, embedding, epsilon, r = _embedding_pipeline(args, data)
+    transition, decomposition, embedding, epsilon = _embedding_pipeline(args, data, 1)
     extension = build_extension(data, transition, decomposition)
     model = fit(data, embedding, extension, folds=args.folds, seed=args.seed)
     out_model = args.out_model or _derived_out(args.input, ".model.npz")
     out_preds = args.out_predictions or _derived_out(args.input, ".fitted.csv")
     config = {
         "subcommand": "regress", "input": args.input, "response": args.response,
-        "folds": args.folds, "t": args.t, "r": r, "epsilon": epsilon,
+        "folds": args.folds, "r": embedding.r, "epsilon": epsilon,
         "diss": args.diss, "seed": args.seed, "id_column": id_column,
-        "kernel_cutoff": args.kernel_cutoff,
         "out_model": out_model, "out_predictions": out_preds,
     }
-    _save_model(out_model, extension, model.t, model.p, model, args.response)
+    # t is stored only as the default ``extend`` uses on this model
+    _save_model(out_model, extension, 1, model.p, model, args.response)
     _write_sidecar(out_model, config, {
         "n": data.n, "p": model.p,
         "risk_curve": [[p + 1, float(risk)] for p, risk in enumerate(model.cv_risk_curve)],
     })
-    yhat = fitted_values(model, embedding)
+    yhat = fitted_values(model)
     rows = [[data.ids[i], yhat[i]] for i in range(data.n)]
     _write_bytes_atomic(out_preds, _csv_bytes(["id", "prediction"], rows))
     _write_sidecar(out_preds, config, {"p": model.p, "n": data.n})
@@ -382,9 +381,9 @@ def _cmd_predict(args) -> int:
 
 def _cmd_prototype(args) -> int:
     lib = load_component_library(args.input, ref_index=args.ref_index)
-    r = args.r if args.r is not None else min(DEFAULT_PAIRS, lib.n_components - 1)
-    proto = diffusion_kmeans(lib, args.k, t=args.t, r=r, seed=args.seed,
+    proto = diffusion_kmeans(lib, args.k, t=args.t, r=args.r, seed=args.seed,
                              epsilon=args.epsilon_value)
+    r = proto.centroids_diffusion.shape[1]
     prefix = args.out_prefix or str(Path(args.input).with_suffix(""))
     out_protos = f"{prefix}.prototypes.csv"
     out_assign = f"{prefix}.assignments.csv"
@@ -482,14 +481,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_embedding_flags(sub, with_seed: bool, response_required: bool = False):
     sub.add_argument("--input", required=True)
-    sub.add_argument("--t", type=int, default=1)
     sub.add_argument("--r", type=int, default=None)
     sub.add_argument("--epsilon", default="auto",
                      help="kernel bandwidth, a positive real or 'auto' (median heuristic)")
     sub.add_argument("--diss", default="sqeuclidean",
                      help="sqeuclidean | euclidean | table:<path>")
-    sub.add_argument("--kernel-cutoff", type=float, default=None,
-                     help="zero kernel entries below exp(-cutoff); off by default")
     sub.add_argument("--response", default=None, required=response_required,
                      help="name of a response column to keep out of the features")
     sub.add_argument("--id-column", default=None)
@@ -517,6 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     emb = subs.add_parser("embed", help="diffusion-map a dataset")
     _add_embedding_flags(emb, with_seed=False)
+    emb.add_argument("--t", type=int, default=1)
     emb.add_argument("--out", default=None)
     emb.add_argument("--save-model", default=None,
                      help="path of the model archive (.npz) to write")

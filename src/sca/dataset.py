@@ -85,20 +85,27 @@ class Dissimilarity:
         if self.kind == "table":
             if self.table is None:
                 raise ValidationError("table kind requires a table matrix")
-            tab = np.asarray(self.table, dtype=np.float64)
-            if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
-                raise ValidationError("dissimilarity table must be square")
-            if not np.isfinite(tab).all():
-                raise ValidationError("dissimilarity table has non-finite entries")
-            if (tab < 0).any():
-                raise ValidationError("dissimilarity table has negative entries")
-            if (np.diag(tab) != 0).any():
-                raise ValidationError("dissimilarity table diagonal must be zero")
-            if not np.array_equal(tab, tab.T):
-                raise ValidationError("dissimilarity table must be symmetric")
+            tab = validate_dissimilarity(self.table, "dissimilarity table")
             object.__setattr__(self, "table", frozen_array(tab))
         elif self.table is not None:
             raise ValidationError(f"kind {self.kind!r} does not take a table")
+
+
+def validate_dissimilarity(values, what: str = "dissimilarity matrix") -> np.ndarray:
+    """``values`` as a float64 matrix that is square, finite, non-negative,
+    symmetric and zero on the diagonal; each fault names ``what``."""
+    dmat = np.asarray(values, dtype=np.float64)
+    if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
+        raise ValidationError(f"{what} must be square")
+    if not np.isfinite(dmat).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    if (dmat < 0).any():
+        raise ValidationError(f"{what} has negative entries")
+    if (np.diag(dmat) != 0).any():
+        raise ValidationError(f"{what} diagonal must be zero")
+    if not np.array_equal(dmat, dmat.T):
+        raise ValidationError(f"{what} must be symmetric")
+    return dmat
 
 
 def pairwise_dissimilarity(data: DataSet, diss: Dissimilarity) -> np.ndarray:

@@ -1,11 +1,10 @@
 """Row-stochastic Markov kernel over observed data and its stationary law."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .dataset import frozen_array
+from .dataset import frozen_array, validate_dissimilarity
 from .errors import NumericalError, ValidationError
 
 
@@ -43,52 +42,27 @@ class StationaryDistribution:
         object.__setattr__(self, "probabilities", frozen_array(self.probabilities))
 
 
-def _validate_dissimilarity_matrix(dmat: np.ndarray) -> np.ndarray:
-    dmat = np.asarray(dmat, dtype=np.float64)
-    if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
-        raise ValidationError("dissimilarity matrix must be square")
-    if dmat.shape[0] < 2:
-        raise ValidationError("need at least 2 observations")
-    if not np.isfinite(dmat).all():
-        raise ValidationError("dissimilarity matrix has non-finite entries")
-    if (np.diag(dmat) != 0).any():
-        raise ValidationError("dissimilarity matrix diagonal must be zero")
-    if (dmat < 0).any():
-        raise ValidationError("dissimilarity matrix has negative entries")
-    if not np.array_equal(dmat, dmat.T):
-        raise ValidationError("dissimilarity matrix must be symmetric")
-    return dmat
-
-
-def build_transition(dmat: np.ndarray, epsilon: float, diss_kind: str = "sqeuclidean",
-                     cutoff: Optional[float] = None) -> TransitionMatrix:
+def build_transition(dmat: np.ndarray, epsilon: float,
+                     diss_kind: str = "sqeuclidean") -> TransitionMatrix:
     """Gaussian-kernel transition matrix: A_ij = exp(-D_ij/eps) / row sum.
 
-    ``cutoff``, when given, zeroes kernel entries below exp(-cutoff)
-    (sparsification; off by default).  On the dense path any entry that
-    underflows to zero breaks the strictly-positive-chain invariant and
-    raises NumericalError naming the offending row.
+    Any kernel entry that underflows to zero breaks the
+    strictly-positive-chain invariant and raises NumericalError naming
+    the offending row.
     """
-    dmat = _validate_dissimilarity_matrix(dmat)
+    dmat = validate_dissimilarity(dmat)
+    if dmat.shape[0] < 2:
+        raise ValidationError("need at least 2 observations")
     if not epsilon > 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     weights = np.exp(-dmat / epsilon)
-    if cutoff is not None:
-        if not cutoff > 0:
-            raise ValidationError("cutoff must be positive")
-        weights[weights < np.exp(-cutoff)] = 0.0
-    elif not weights.all():
+    if not weights.all():
         i, j = np.argwhere(weights == 0.0)[0]
         raise NumericalError(
             f"kernel entry underflowed to zero at row {i} (pair {i},{j}); "
             f"epsilon={epsilon!r} is far too small for this dissimilarity scale"
         )
     row_sums = weights.sum(axis=1)
-    if not (row_sums > 0).all():
-        i = int(np.argmin(row_sums > 0))
-        raise NumericalError(
-            f"kernel row {i} underflowed to zero; epsilon={epsilon!r} is far too small"
-        )
     return TransitionMatrix(
         matrix=weights / row_sums[:, None],
         epsilon=float(epsilon),

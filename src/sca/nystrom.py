@@ -89,23 +89,28 @@ def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _check_eigen_floor(model: ExtensionModel, indices) -> None:
-    lams = model.decomposition.eigenvalues
-    for j in indices:
-        if abs(lams[j - 1]) < EIGENVALUE_FLOOR:
-            raise NumericalError(
-                f"eigenvalue {j} has magnitude {abs(lams[j - 1]):.3e} below the "
-                f"{EIGENVALUE_FLOOR} floor; its extension is undefined"
-            )
+def extend_eigenfunctions(model: ExtensionModel, new_points: np.ndarray,
+                          r: int) -> np.ndarray:
+    """Nystrom estimates at m new points: row k is (psi_hat_j(x_k))_{j=1..r}."""
+    r = _check_pair_index(r, model.decomposition, "number of eigenfunctions r")
+    lams = model.decomposition.eigenvalues[:r]
+    small = np.flatnonzero(np.abs(lams) < EIGENVALUE_FLOOR)
+    if small.size:
+        j = small[0]
+        raise NumericalError(
+            f"eigenvalue {j + 1} has magnitude {abs(lams[j]):.3e} below the "
+            f"{EIGENVALUE_FLOOR} floor; its extension is undefined")
+    weights = kernel_weights(model, new_points)
+    # contiguous: bitwise equal for a model storing only r pairs, and faster
+    psi = np.ascontiguousarray(model.decomposition.eigenvectors[:, :r])
+    return (weights @ psi) / lams[None, :]
 
 
 def extend_eigenfunction(model: ExtensionModel, x: np.ndarray, j: int) -> float:
     """Kernel-smoothed estimate of eigenfunction j (1-based, nontrivial) at x."""
     j = _check_pair_index(j, model.decomposition, "eigenfunction index j")
-    _check_eigen_floor(model, [j])
-    weights = kernel_weights(model, np.asarray(x, dtype=np.float64).reshape(1, -1))
-    psi = model.decomposition.eigenvectors[:, j - 1]
-    return float((weights[0] @ psi) / model.decomposition.eigenvalues[j - 1])
+    point = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return float(extend_eigenfunctions(model, point, j)[0, j - 1])
 
 
 def extend_embedding(model: ExtensionModel, new_points: np.ndarray,
@@ -113,9 +118,5 @@ def extend_embedding(model: ExtensionModel, new_points: np.ndarray,
     """Diffusion coordinates for m new points: row k is (lambda_j^t psi_hat_j(x_k))_j."""
     t = _check_time(t)
     r = _check_pair_index(r, model.decomposition, "embedding dimension r")
-    _check_eigen_floor(model, range(1, r + 1))
-    weights = kernel_weights(model, new_points)
-    psi = model.decomposition.eigenvectors[:, :r]
-    lams = model.decomposition.eigenvalues[:r]
-    # (1/lambda) * weights @ psi scaled by lambda^t, folded into lambda^(t-1)
-    return (weights @ psi) * (lams ** (t - 1))[None, :]
+    psi_hat = extend_eigenfunctions(model, new_points, r)
+    return psi_hat * (model.decomposition.eigenvalues[:r] ** t)[None, :]

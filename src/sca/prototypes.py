@@ -18,7 +18,7 @@ from . import kernels
 from .dataset import frozen_array, parse_table
 from .errors import NumericalError, ValidationError
 from .markov import build_transition, default_epsilon
-from .spectral import DEFAULT_PAIRS, decompose, embed
+from .spectral import decompose, embed
 
 KKT_TOL = 1e-8
 
@@ -171,10 +171,9 @@ def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
 
     dmat = kernels.pairwise_sq_dists(spectra)
     eps = default_epsilon(dmat) if epsilon is None else float(epsilon)
-    transition = build_transition(dmat, eps)
-    if r is None:
-        r = min(DEFAULT_PAIRS, n - 1)
-    coords = np.ascontiguousarray(embed(decompose(transition, r), t, r).coords)
+    decomposition = decompose(build_transition(dmat, eps), r)
+    coords = np.ascontiguousarray(
+        embed(decomposition, t, decomposition.eigenvalues.size).coords)
 
     rng = np.random.default_rng(seed)
     centroids = np.ascontiguousarray(_kmeans_pp_seed(coords, k, rng))

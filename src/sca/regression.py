@@ -1,10 +1,10 @@
 """Adaptive regression on the diffusion eigenbasis.
 
 The response is fit by least squares on an intercept plus the leading
-diffusion coordinates; the truncation p is chosen by K-fold
-cross-validated prediction risk over p = 1..r, and out-of-sample
-prediction evaluates the same t-scaled basis through the Nystrom
-extension.
+eigenvectors psi_1..psi_p; p is chosen by K-fold cross-validated risk
+over p = 1..r, and prediction evaluates the Nystrom estimates psi_hat_j.
+Rescaling columns cannot change a least-squares fit, so diffusion time
+has no place here: on lambda_j^t psi_j it would only add rounding.
 """
 
 from dataclasses import dataclass
@@ -13,8 +13,8 @@ import numpy as np
 
 from .dataset import DataSet, frozen_array
 from .errors import NumericalError, ValidationError
-from .nystrom import ExtensionModel, extend_embedding
-from .spectral import DiffusionEmbedding
+from .nystrom import ExtensionModel, extend_eigenfunctions
+from .spectral import DiffusionEmbedding, _coords
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,6 @@ class EigenbasisRegression:
     intercept: float
     coefficients: np.ndarray
     p: int
-    t: int
     cv_risk_curve: np.ndarray      # risk estimate for each candidate p = 1..r
     extension: ExtensionModel
     folds: int
@@ -102,24 +101,22 @@ def _refit(basis: np.ndarray, y: np.ndarray, p: int):
 
 def fit(data: DataSet, emb: DiffusionEmbedding, ext: ExtensionModel,
         folds: int = 10, seed: int = 0) -> EigenbasisRegression:
-    """Select p by CV risk and refit on all data at the winning truncation."""
+    """Select p <= emb.r by CV risk on psi and refit on all data at that p."""
     if data.response is None:
         raise ValidationError("dataset has no response to regress on")
     if not np.array_equal(ext.points, data.points):
         raise ValidationError("extension model was built on different points")
-    expected = ext.decomposition.eigenvectors[:, :emb.r] * \
-        (ext.decomposition.eigenvalues[:emb.r] ** emb.t)[None, :]
-    if not np.array_equal(expected, emb.coords):
+    if not np.array_equal(_coords(ext.decomposition, emb.t, emb.r), emb.coords):
         raise ValidationError("embedding and extension derive from different decompositions")
+    basis = ext.decomposition.eigenvectors[:, :emb.r]
     y = data.response
-    risks = basis_risk_curve(emb.coords, y, folds, seed)
+    risks = basis_risk_curve(basis, y, folds, seed)
     p = int(np.argmin(risks)) + 1  # first minimum, so ties pick the smallest p
-    intercept, coefficients = _refit(emb.coords, y, p)
+    intercept, coefficients = _refit(basis, y, p)
     return EigenbasisRegression(
         intercept=intercept,
         coefficients=coefficients,
         p=p,
-        t=emb.t,
         cv_risk_curve=risks,
         extension=ext,
         folds=folds,
@@ -128,14 +125,9 @@ def fit(data: DataSet, emb: DiffusionEmbedding, ext: ExtensionModel,
 
 
 def predict(model: EigenbasisRegression, new_points: np.ndarray) -> np.ndarray:
-    """Evaluate the fitted expansion at new points via the Nystrom extension."""
-    new_points = np.asarray(new_points, dtype=np.float64)
-    if new_points.ndim != 2:
-        raise ValidationError("new points must be an m x d matrix")
-    if new_points.shape[0] == 0:
-        return np.empty(0)
-    coords = extend_embedding(model.extension, new_points, model.t, model.p)
-    return model.intercept + coords @ model.coefficients
+    """intercept + psi_hat(x)[:p] @ coefficients at each new point x."""
+    psi_hat = extend_eigenfunctions(model.extension, new_points, model.p)
+    return model.intercept + psi_hat @ model.coefficients
 
 
 def risk_curve(model: EigenbasisRegression):
@@ -143,9 +135,10 @@ def risk_curve(model: EigenbasisRegression):
     return tuple((p + 1, float(r)) for p, r in enumerate(model.cv_risk_curve))
 
 
-def fitted_values(model: EigenbasisRegression, emb: DiffusionEmbedding) -> np.ndarray:
-    """In-sample fitted values on the training embedding."""
-    return model.intercept + emb.coords[:, :model.p] @ model.coefficients
+def fitted_values(model: EigenbasisRegression) -> np.ndarray:
+    """In-sample fitted values at the training points."""
+    psi = model.extension.decomposition.eigenvectors[:, :model.p]
+    return model.intercept + psi @ model.coefficients
 
 
 def pca_scores(points: np.ndarray, r=None) -> np.ndarray:

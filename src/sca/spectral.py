@@ -19,6 +19,13 @@ _DEPTH = 3
 _RESIDUAL_TOL = 1e-11
 _START_SEED = 0
 
+# Below _GAP_FLOOR the gap 1 - lambda_1 means a numerically disconnected
+# graph (eigenvalue 1 repeated once per component).  Above it the top
+# vector is within _RESIDUAL_TOL / _GAP_FLOOR = 1e-5 of the constant
+# (Davis-Kahan), under _CONSTANT_TOL.
+_GAP_FLOOR = 1e-6
+_CONSTANT_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -72,7 +79,8 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
 
     When the Krylov basis is small next to n the leading pairs come from
     :func:`_krylov_pairs`; otherwise, or when that solver does not reach
-    its tolerance within its budget, from a full ``eigh``.
+    its tolerance within its budget, from a full ``eigh``.  A numerically
+    disconnected graph raises NumericalError.
     """
     n = transition.n
     if r is None:
@@ -91,18 +99,21 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
     if 2 * _DEPTH * block <= n:
         pairs = _krylov_pairs(sym, sqrt_s / np.linalg.norm(sqrt_s), r + 1, block)
     eigvals, eigvecs = _eigh_pairs(sym, r + 1) if pairs is None else pairs
-    # drop the trivial top pair
-    eigvals = eigvals[1:]
-    eigvecs = eigvecs[:, 1:]
     total = s.sum()
-    psi = (eigvecs / sqrt_s[:, None]) * np.sqrt(total)
+    phi0 = s / total
+    # back-scaled, the dropped top vector must be the constant 1
+    top = eigvecs[:, 0] * np.sqrt(total) / sqrt_s
+    deviation = float(np.sqrt(phi0 @ (top * np.sign(phi0 @ top) - 1.0) ** 2))
+    gap = 1.0 - eigvals[1]
+    if not (gap >= _GAP_FLOOR and deviation <= _CONSTANT_TOL):
+        raise NumericalError(
+            f"graph is numerically disconnected: 1 - lambda_1 = {gap:.3e} (floor "
+            f"{_GAP_FLOOR:g}), top eigenvector off the constant by {deviation:.3e} "
+            f"(tolerance {_CONSTANT_TOL:g}); try a larger epsilon than {transition.epsilon!r}")
+    psi = (eigvecs[:, 1:] / sqrt_s[:, None]) * np.sqrt(total)
     lead = np.argmax(np.abs(psi), axis=0)
     psi[:, psi[lead, np.arange(r)] < 0] *= -1.0
-    return SpectralDecomposition(
-        eigenvalues=eigvals,
-        eigenvectors=psi,
-        phi0=s / total,
-    )
+    return SpectralDecomposition(eigenvalues=eigvals[1:], eigenvectors=psi, phi0=phi0)
 
 
 def _eigh_pairs(sym: np.ndarray, wanted: int):
@@ -191,9 +202,11 @@ def embed(decomposition: SpectralDecomposition, t: int, r: int) -> DiffusionEmbe
     """Diffusion map coordinates: coords[i, j] = lambda_{j+1}^t psi_{j+1}(x_i)."""
     t = _check_time(t)
     r = _check_pair_index(r, decomposition, "embedding dimension r")
-    scale = decomposition.eigenvalues[:r] ** t
-    coords = decomposition.eigenvectors[:, :r] * scale[None, :]
-    return DiffusionEmbedding(coords=coords, t=t, r=r)
+    return DiffusionEmbedding(coords=_coords(decomposition, t, r), t=t, r=r)
+
+
+def _coords(decomposition: SpectralDecomposition, t: int, r: int) -> np.ndarray:
+    return decomposition.eigenvectors[:, :r] * (decomposition.eigenvalues[:r] ** t)[None, :]
 
 
 def diffusion_distance(transition: TransitionMatrix, phi0: StationaryDistribution,

@@ -132,7 +132,7 @@ def test_criterion_4_regression_exactness():
     emb = embed(decomposition, 1, r)
     ext = build_extension(labeled, transition, decomposition)
     model = fit(labeled, emb, ext, folds=5, seed=0)
-    mse = float(np.mean((fitted_values(model, emb) - y) ** 2))
+    mse = float(np.mean((fitted_values(model) - y) ** 2))
 
     # full-basis residual for arbitrary seeded responses at n <= 30
     worst_rel = 0.0

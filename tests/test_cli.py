@@ -92,14 +92,43 @@ def test_gen_and_embed_rerun_byte_identical(tmp_path):
 
 def test_sidecar_round_trip_reproduces_output(tmp_path):
     data = _gen(tmp_path)
-    out = tmp_path / "coords.csv"
-    assert main(["embed", "--input", str(data), "--r", "3",
-                 "--response", "response", "--out", str(out)]) == 0
-    original = out.read_bytes()
-    sidecar = json.loads((tmp_path / "coords.csv.meta.json").read_text())
-    out.unlink()
-    assert main(config_argv(sidecar["config"])) == 0
-    assert out.read_bytes() == original
+    runs = [
+        (["embed", "--input", str(data), "--r", "3", "--response", "response",
+          "--out", str(tmp_path / "coords.csv")], ["coords.csv"]),
+        (["regress", "--input", str(data), "--r", "8", "--response", "response",
+          "--folds", "5", "--seed", "2", "--out-model", str(tmp_path / "m.npz"),
+          "--out-predictions", str(tmp_path / "fitted.csv")], ["m.npz", "fitted.csv"]),
+    ]
+    for argv, outputs in runs:
+        assert main(argv) == 0
+        paths = [tmp_path / name for name in outputs]
+        paths += [Path(f"{path}.meta.json") for path in paths]
+        original = [path.read_bytes() for path in paths]
+        sidecar = json.loads(paths[-1].read_text())
+        for path in paths:
+            path.unlink()
+        assert main(config_argv(sidecar["config"])) == 0
+        assert [path.read_bytes() for path in paths] == original
+
+
+def test_removed_flags_are_unknown(tmp_path, capsys):
+    data = _gen(tmp_path)
+    regress = ["regress", "--input", str(data), "--response", "response", "--seed", "1"]
+    for argv in (regress + ["--t", "3"], regress + ["--kernel-cutoff", "30"],
+                 ["embed", "--input", str(data), "--kernel-cutoff", "30"]):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_disconnected_graph_exits_2(tmp_path, capsys):
+    points = np.random.default_rng(0).normal(size=(80, 2))
+    points[40:, 0] += 10.0
+    data = tmp_path / "blobs.csv"
+    data.write_text("x0,x1\n" + "".join(f"{a!r},{b!r}\n" for a, b in points.tolist()))
+    assert main(["embed", "--input", str(data), "--epsilon", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: graph is numerically disconnected")
+    assert "larger epsilon" in err and "Traceback" not in err
 
 
 def test_extend_reproduces_training_coordinates(tmp_path):

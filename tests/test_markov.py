@@ -71,14 +71,6 @@ def test_asymmetric_matrix_rejected():
         build_transition(bad, epsilon=1.0)
 
 
-def test_cutoff_flag_sparsifies():
-    data = gaussian_dataset(12, 2, 7)
-    dmat, dense, _ = pipeline(data)
-    sparse = build_transition(dmat, dense.epsilon, cutoff=1.0)
-    assert (sparse.matrix == 0).any()
-    assert np.abs(sparse.matrix.sum(axis=1) - 1.0).max() <= 1e-12
-
-
 def test_uniform_limit_as_epsilon_grows():
     data = gaussian_dataset(14, 3, 8)
     dmat, _, _ = pipeline(data)

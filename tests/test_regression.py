@@ -35,7 +35,7 @@ def _healthy_setup(n, d, seed, t=1):
 def test_constant_response_fits_exactly():
     data, dec, emb, ext = _healthy_setup(15, 3, 0)
     model = fit(_with_response(data, np.full(15, 2.5)), emb, ext, folds=5, seed=1)
-    yhat = fitted_values(model, emb)
+    yhat = fitted_values(model)
     assert np.abs(yhat - 2.5).max() <= 1e-10
 
 
@@ -43,7 +43,7 @@ def test_noiseless_psi1_recovered():
     data, dec, emb, ext = _healthy_setup(15, 3, 1)
     y = dec.eigenvectors[:, 0]
     model = fit(_with_response(data, y), emb, ext, folds=5, seed=1)
-    mse = float(np.mean((fitted_values(model, emb) - y) ** 2))
+    mse = float(np.mean((fitted_values(model) - y) ** 2))
     assert mse <= 1e-18
     assert model.p >= 1
 
@@ -53,7 +53,7 @@ def test_predict_on_training_matches_fitted_values():
     y = np.sin(data.points[:, 0])
     model = fit(_with_response(data, y), emb, ext, folds=5, seed=3)
     preds = predict(model, data.points)
-    assert np.abs(preds - fitted_values(model, emb)).max() <= 1e-9
+    assert np.abs(preds - fitted_values(model)).max() <= 1e-9
 
 
 def test_predict_empty_input():
@@ -72,7 +72,7 @@ def test_heldout_swiss_roll_mse_within_2x():
     _, dec, _, ext = full_pipeline(train, r=50)
     emb = embed(dec, 1, 50)
     model = fit(train, emb, ext, folds=10, seed=7)
-    mse_in = float(np.mean((fitted_values(model, emb) - train.response) ** 2))
+    mse_in = float(np.mean((fitted_values(model) - train.response) ** 2))
     preds = predict(model, data.points[test_idx])
     mse_out = float(np.mean((preds - data.response[test_idx]) ** 2))
     assert mse_out <= 2.0 * mse_in
@@ -195,7 +195,7 @@ def test_basis_risk_curve_matches_fit_curve():
     data, dec, emb, ext = _healthy_setup(14, 2, 14)
     y = data.points[:, 0] ** 2
     model = fit(_with_response(data, y), emb, ext, folds=4, seed=5)
-    manual = basis_risk_curve(emb.coords, y, 4, 5)
+    manual = basis_risk_curve(dec.eigenvectors[:, :emb.r], y, 4, 5)
     assert np.array_equal(manual, model.cv_risk_curve)
 
 
@@ -252,3 +252,17 @@ def test_qr_risk_curve_matches_lstsq_on_rank_deficient_columns():
     basis = rng.normal(size=(50, 6))
     basis[:, 2] = basis[:, 0]
     _assert_risks_match_oracle(basis, rng.normal(size=50), 5, 2)
+
+
+def test_fit_and_predict_do_not_depend_on_diffusion_time():
+    # the fit is on psi; on lambda^t psi rounding broke it here at t >= 3
+    roll = generate(GeneratorSpec(kind="swiss-roll", n=1300, noise_sd=0.3, seed=1))
+    train = DataSet(points=roll.points[:1000], ids=roll.ids[:1000],
+                    response=roll.response[:1000])
+    _, dec, _, ext = full_pipeline(train, r=50)
+    models = [fit(train, embed(dec, t, 50), ext, folds=10, seed=1) for t in range(1, 6)]
+    preds = [predict(model, roll.points[1000:]) for model in models]
+    for model, pred in zip(models, preds):
+        assert model.p == models[0].p
+        assert np.array_equal(model.coefficients, models[0].coefficients)
+        assert np.array_equal(pred, preds[0])

@@ -11,7 +11,7 @@ import pytest
 
 from sca import spectral
 from sca.dataset import DataSet, Dissimilarity, pairwise_dissimilarity
-from sca.errors import ValidationError
+from sca.errors import NumericalError, ValidationError
 from sca.markov import build_transition, default_epsilon, stationary_distribution
 from sca.spectral import (
     DEFAULT_PAIRS,
@@ -407,3 +407,37 @@ def test_decompose_default_pair_count_and_r_validation():
         embed(decompose(transition), 1, 80)
     small = _uniform_two_point()
     assert decompose(small).eigenvalues.shape == (1,)
+
+
+# --- connectivity -----------------------------------------------------------------
+
+def test_numerically_disconnected_graph_raises():
+    # two 40-point blobs 10 apart: at epsilon = 1 every cross-blob kernel
+    # entry is below rounding, so eigenvalue 1 is double and psi_1 would
+    # be a component indicator
+    points = np.random.default_rng(0).normal(size=(80, 2))
+    points[40:, 0] += 10.0
+    dmat = pairwise_dissimilarity(
+        DataSet(points=points, ids=tuple(map(str, range(80)))), Dissimilarity())
+    with pytest.raises(NumericalError, match="numerically disconnected.*larger epsilon"):
+        decompose(build_transition(dmat, 1.0))
+    # the median bandwidth joins the blobs
+    assert 1.0 - decompose(build_transition(dmat, default_epsilon(dmat))).eigenvalues[0] > 0.1
+
+
+def test_top_vector_that_is_not_constant_raises(monkeypatch):
+    transition = _transition_of(_swiss_roll(200))
+    real = spectral._eigh_pairs
+
+    def mixed(sym, wanted):
+        # a top vector rotated 1e-3 rad towards the next one
+        vals, vecs = real(sym, wanted)
+        vecs = vecs.copy()
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        vecs[:, 0], vecs[:, 1] = c * vecs[:, 0] + s * vecs[:, 1], c * vecs[:, 1] - s * vecs[:, 0]
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "_krylov_pairs", lambda *a: None)
+    monkeypatch.setattr(spectral, "_eigh_pairs", mixed)
+    with pytest.raises(NumericalError, match="numerically disconnected.*off the constant"):
+        decompose(transition)
