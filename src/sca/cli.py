@@ -85,6 +85,14 @@ def _write_sidecar(out_path, config: dict, info: dict) -> None:
     ))
 
 
+def _config(args, **resolved) -> dict:
+    """A run's config: every parsed flag, with the values the run resolved
+    (defaults it derived, such as r, epsilon or an output path) laid over."""
+    config = {key: value for key, value in vars(args).items() if key != "func"}
+    config.update(resolved)
+    return config
+
+
 def config_argv(config: dict):
     """Rebuild the argv that reproduces a sidecar's run."""
     config = dict(config)
@@ -158,12 +166,6 @@ def _cmd_gen(args) -> int:
         n_families=args.n_families, n_bins=args.bins,
         separation=args.separation, height=args.height, length=args.length,
     )
-    config = {
-        "subcommand": "gen", "kind": args.kind, "n": args.n, "seed": args.seed,
-        "noise_sd": args.noise_sd, "n_families": args.n_families,
-        "bins": args.bins, "separation": args.separation,
-        "height": args.height, "length": args.length, "out": args.out,
-    }
     result = synthetic.generate(spec)
     if args.kind in synthetic.DATASET_KINDS:
         d = result.d
@@ -178,15 +180,16 @@ def _cmd_gen(args) -> int:
         info = {"n": result.n_components, "bins": result.n_bins,
                 "ref_index": result.ref_index}
     _write_bytes_atomic(args.out, _csv_bytes(header, rows))
-    _write_sidecar(args.out, config, info)
+    _write_sidecar(args.out, _config(args), info)
     return 0
 
 
 # Entries of a model archive: name -> (dtype kind, ndim).  The regression
-# entries are present only in models written by ``regress``.
+# entries are present only in models written by ``regress``.  Entries not
+# listed here (such as the ``phi0`` of older archives) are not read.
 _MODEL_ENTRIES = {
     "points": ("f", 2), "eigenvalues": ("f", 1), "eigenvectors": ("f", 2),
-    "phi0": ("f", 1), "epsilon": ("f", 0), "diss_kind": ("U", 0), "t": ("i", 0),
+    "epsilon": ("f", 0), "diss_kind": ("U", 0), "t": ("i", 0),
 }
 _REGRESSION_ENTRIES = {
     "intercept": ("f", 0), "coefficients": ("f", 1), "cv_risk_curve": ("f", 1),
@@ -202,7 +205,7 @@ def _save_model(path, extension: ExtensionModel, t: int, pairs: int,
     """
     dec = extension.decomposition
     entries = dict(points=extension.points, eigenvalues=dec.eigenvalues[:pairs],
-                   eigenvectors=dec.eigenvectors[:, :pairs], phi0=dec.phi0,
+                   eigenvectors=dec.eigenvectors[:, :pairs],
                    epsilon=extension.epsilon, diss_kind=extension.diss_kind, t=t)
     if regression is not None:
         entries.update(intercept=regression.intercept, coefficients=regression.coefficients,
@@ -249,9 +252,9 @@ def _load_model(path):
 
     e = {key: entry(key, *spec) for key, spec in _MODEL_ENTRIES.items()}
     n, k = e["points"].shape[0], e["eigenvalues"].shape[0]
-    for key, expected in (("eigenvectors", (n, k)), ("phi0", (n,))):
-        if e[key].shape != expected:
-            raise fault(f"entry {key!r} has shape {e[key].shape}, expected {expected}")
+    if e["eigenvectors"].shape != (n, k):
+        raise fault(f"entry 'eigenvectors' has shape {e['eigenvectors'].shape}, "
+                    f"expected {(n, k)}")
     if not (n >= 1 and k >= 1 and e["epsilon"] > 0 and e["t"] >= 1):
         raise fault(f"needs n >= 1 points, k >= 1 eigenpairs, epsilon > 0 and t >= 1; "
                     f"got n={n}, k={k}, epsilon={e['epsilon']!r}, t={e['t']!r}")
@@ -259,8 +262,7 @@ def _load_model(path):
         extension = ExtensionModel(
             points=e["points"], epsilon=e["epsilon"], diss_kind=e["diss_kind"],
             decomposition=SpectralDecomposition(
-                eigenvalues=e["eigenvalues"], eigenvectors=e["eigenvectors"],
-                phi0=e["phi0"]))
+                eigenvalues=e["eigenvalues"], eigenvectors=e["eigenvectors"]))
     except ValidationError as exc:
         raise fault(str(exc)) from exc
     if not any(key in entries for key in _REGRESSION_ENTRIES):
@@ -291,11 +293,7 @@ def _cmd_embed(args) -> int:
     if args.save_model:
         extension = build_extension(data, transition, decomposition)
     out = args.out or _derived_out(args.input, ".coords.csv")
-    config = {
-        "subcommand": "embed", "input": args.input, "t": args.t, "r": r,
-        "epsilon": epsilon, "diss": args.diss, "response": args.response,
-        "id_column": id_column, "out": out, "save_model": args.save_model,
-    }
+    config = _config(args, r=r, epsilon=epsilon, id_column=id_column, out=out)
     info = {
         "n": data.n, "d": data.d,
         "eigenvalues": [float(v) for v in decomposition.eigenvalues[:r]],
@@ -318,15 +316,10 @@ def _cmd_extend(args) -> int:
     r = args.r if args.r is not None else model.decomposition.eigenvalues.shape[0]
     coords = extend_embedding(model, points, t, r)
     out = args.out or _derived_out(args.input, ".extended.csv")
-    config = {
-        "subcommand": "extend", "model": args.model, "input": args.input,
-        "t": t, "r": r, "response": args.response,
-        "id_column": id_column, "out": out,
-    }
     info = {"n": len(ids), "d": points.shape[1], "epsilon": model.epsilon,
             "diss_kind": model.diss_kind}
     _write_bytes_atomic(out, _csv_bytes(_psi_header(r), _coords_rows(ids, coords)))
-    _write_sidecar(out, config, info)
+    _write_sidecar(out, _config(args, t=t, r=r, id_column=id_column, out=out), info)
     return 0
 
 
@@ -338,12 +331,8 @@ def _cmd_regress(args) -> int:
     model = fit(data, embedding, extension, folds=args.folds, seed=args.seed)
     out_model = args.out_model or _derived_out(args.input, ".model.npz")
     out_preds = args.out_predictions or _derived_out(args.input, ".fitted.csv")
-    config = {
-        "subcommand": "regress", "input": args.input, "response": args.response,
-        "folds": args.folds, "r": embedding.r, "epsilon": epsilon,
-        "diss": args.diss, "seed": args.seed, "id_column": id_column,
-        "out_model": out_model, "out_predictions": out_preds,
-    }
+    config = _config(args, r=embedding.r, epsilon=epsilon, id_column=id_column,
+                     out_model=out_model, out_predictions=out_preds)
     # t is stored only as the default ``extend`` uses on this model
     _save_model(out_model, extension, 1, model.p, model, args.response)
     _write_sidecar(out_model, config, {
@@ -369,13 +358,10 @@ def _cmd_predict(args) -> int:
     points, ids, _ = read_table(table, response_column=drop, id_column=id_column)
     preds = predict(model, points)
     out = args.out or _derived_out(args.input, ".predictions.csv")
-    config = {
-        "subcommand": "predict", "model": args.model, "input": args.input,
-        "id_column": id_column, "out": out,
-    }
     rows = [[ids[i], preds[i]] for i in range(len(ids))]
     _write_bytes_atomic(out, _csv_bytes(["id", "prediction"], rows))
-    _write_sidecar(out, config, {"n": len(ids), "p": model.p})
+    _write_sidecar(out, _config(args, id_column=id_column, out=out),
+                   {"n": len(ids), "p": model.p})
     return 0
 
 
@@ -388,11 +374,6 @@ def _cmd_prototype(args) -> int:
     out_protos = f"{prefix}.prototypes.csv"
     out_assign = f"{prefix}.assignments.csv"
     out_centroids = f"{prefix}.centroids.csv"
-    config = {
-        "subcommand": "prototype", "input": args.input, "k": args.k,
-        "t": args.t, "r": r, "seed": args.seed, "ref_index": args.ref_index,
-        "epsilon": args.epsilon_value, "out_prefix": prefix,
-    }
     proto_header = ["id", "mean_log_age", "mean_log_met"] + \
         [f"b{k}" for k in range(lib.n_bins)]
     proto_rows = [[c, proto.log_ages[c], proto.log_metallicities[c], *proto.prototypes[c]]
@@ -405,7 +386,7 @@ def _cmd_prototype(args) -> int:
     _write_bytes_atomic(out_assign, _csv_bytes(["id", "cluster"] + coord_cols, assign_rows))
     centroid_rows = [[c, *proto.centroids_diffusion[c]] for c in range(proto.k)]
     _write_bytes_atomic(out_centroids, _csv_bytes(["cluster"] + coord_cols, centroid_rows))
-    _write_sidecar(prefix, config, {
+    _write_sidecar(prefix, _config(args, r=r, out_prefix=prefix), {
         "n_components": lib.n_components,
         "wcss_history": list(proto.wcss_history),
         "outputs": [out_protos, out_assign, out_centroids],
@@ -434,11 +415,6 @@ def _cmd_fit_mixture(args) -> int:
     table, id_column = _read_input(args)
     points, ids, _ = read_table(table, id_column=id_column)
     out = args.out or _derived_out(args.input, ".mixture.json")
-    config = {
-        "subcommand": "fit-mixture", "prototypes": args.prototypes,
-        "input": args.input, "noise_sd": args.noise_sd,
-        "id_column": id_column, "out": out,
-    }
     fits = []
     for i in range(len(ids)):
         result = fit_mixture(proto, points[i], noise_sd=args.noise_sd)
@@ -449,6 +425,7 @@ def _cmd_fit_mixture(args) -> int:
             "mean_log_age": result.mean_log_age,
             "mean_log_met": result.mean_log_met,
         })
+    config = _config(args, id_column=id_column, out=out)
     _write_bytes_atomic(out, _json_bytes({"config": config, "fits": fits}))
     return 0
 
@@ -458,12 +435,7 @@ def _cmd_bench_quantization(args) -> int:
     report = quantization_benchmark(lib, args.k, args.trials, args.noise,
                                     args.seed, t=args.t, r=args.r)
     out = args.out or _derived_out(args.input, ".bench.json")
-    config = {
-        "subcommand": "bench-quantization", "input": args.input, "k": args.k,
-        "trials": args.trials, "noise": args.noise, "seed": args.seed,
-        "t": args.t, "r": args.r, "ref_index": args.ref_index, "out": out,
-    }
-    _write_bytes_atomic(out, _json_bytes({"config": config,
+    _write_bytes_atomic(out, _json_bytes({"config": _config(args, out=out),
                                           "report": report.to_dict()}))
     return 0
 

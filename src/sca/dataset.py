@@ -188,11 +188,11 @@ def _number(cell: str) -> float:
         return np.nan
 
 
-def parse_table(source, delimiter: Optional[str] = None) -> Table:
+def parse_table(source) -> Table:
     """Read a delimited text table from a path or a text stream.
 
-    The delimiter defaults to a tab when the header line has one, else a
-    comma.  Empty lines are skipped and do not count as data rows.
+    The delimiter is a tab when the header line has one, else a comma.
+    Empty lines are skipped and do not count as data rows.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -204,8 +204,7 @@ def parse_table(source, delimiter: Optional[str] = None) -> Table:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ValidationError("empty input: header row required")
-    if delimiter is None:
-        delimiter = "\t" if "\t" in lines[0] else ","
+    delimiter = "\t" if "\t" in lines[0] else ","
     try:
         rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
     except csv.Error as exc:
@@ -223,25 +222,22 @@ def parse_table(source, delimiter: Optional[str] = None) -> Table:
 
 
 def read_table(source, response_column: Optional[str] = None,
-               id_column: Optional[str] = None,
-               delimiter: Optional[str] = None):
+               id_column: Optional[str] = None):
     """Parse a delimited numeric table into (points, ids, response).
 
     ``source`` is a path, a text stream, or a ``Table`` from
-    ``parse_table`` (``delimiter`` then does not apply).  Feature columns
-    are every column not named as id or response.  Row count is not
-    constrained here; query tables may have any m >= 0.
+    ``parse_table``.  Feature columns are every column not named as id
+    or response.  Row count is not constrained here; query tables may
+    have any m >= 0.
     """
-    table = source if isinstance(source, Table) else parse_table(source, delimiter)
+    table = source if isinstance(source, Table) else parse_table(source)
     labels = () if response_column is None else (response_column,)
     points, ids, found = table.split(id_column, labels, role="response")
     return points, ids, (found[0] if found else None)
 
 
 def load_dataset(source, response_column: Optional[str] = None,
-                 id_column: Optional[str] = None,
-                 delimiter: Optional[str] = None) -> DataSet:
+                 id_column: Optional[str] = None) -> DataSet:
     """Parse a delimited text table into a validated DataSet (n >= 2)."""
-    points, ids, response = read_table(source, response_column=response_column,
-                                       id_column=id_column, delimiter=delimiter)
+    points, ids, response = read_table(source, response_column, id_column)
     return DataSet(points=points, ids=ids, response=response)

@@ -10,26 +10,32 @@ from .errors import NumericalError, ValidationError
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """One-step transition matrix A with its bandwidth provenance.
+    """The chain A = S^{-1} W of a symmetric Gaussian kernel W, with its
+    bandwidth provenance.
 
-    ``kernel_row_sums`` holds the row sums of the unnormalized Gaussian
-    kernel exp(-D/epsilon); since that kernel is symmetric they determine
-    the stationary distribution in closed form and drive the symmetric
-    eigendecomposition route.
+    The chain is stored once, as W and its row sums s: since W is
+    symmetric they give the stationary distribution in closed form and
+    the symmetric conjugate S^{-1/2} W S^{-1/2} that ``decompose``
+    solves.  ``matrix`` derives A for the oracles that need it.
     """
 
-    matrix: np.ndarray
+    kernel: np.ndarray
+    kernel_row_sums: np.ndarray
     epsilon: float
     diss_kind: str
-    kernel_row_sums: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", frozen_array(self.matrix))
+        object.__setattr__(self, "kernel", frozen_array(self.kernel))
         object.__setattr__(self, "kernel_row_sums", frozen_array(self.kernel_row_sums))
 
     @property
+    def matrix(self) -> np.ndarray:
+        """A_ij = W_ij / s_i, computed afresh on each read."""
+        return self.kernel / self.kernel_row_sums[:, None]
+
+    @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.kernel.shape[0]
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,7 @@ class StationaryDistribution:
 
 def build_transition(dmat: np.ndarray, epsilon: float,
                      diss_kind: str = "sqeuclidean") -> TransitionMatrix:
-    """Gaussian-kernel transition matrix: A_ij = exp(-D_ij/eps) / row sum.
+    """Gaussian-kernel chain: W_ij = exp(-D_ij/eps), A_ij = W_ij / sum_k W_ik.
 
     Any kernel entry that underflows to zero breaks the
     strictly-positive-chain invariant and raises NumericalError naming
@@ -62,13 +68,8 @@ def build_transition(dmat: np.ndarray, epsilon: float,
             f"kernel entry underflowed to zero at row {i} (pair {i},{j}); "
             f"epsilon={epsilon!r} is far too small for this dissimilarity scale"
         )
-    row_sums = weights.sum(axis=1)
-    return TransitionMatrix(
-        matrix=weights / row_sums[:, None],
-        epsilon=float(epsilon),
-        diss_kind=diss_kind,
-        kernel_row_sums=row_sums,
-    )
+    return TransitionMatrix(kernel=weights, kernel_row_sums=weights.sum(axis=1),
+                            epsilon=float(epsilon), diss_kind=diss_kind)
 
 
 def default_epsilon(dmat: np.ndarray) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 
 from .dataset import frozen_array
 from .errors import NumericalError, ValidationError
-from .markov import StationaryDistribution, TransitionMatrix
+from .markov import StationaryDistribution, TransitionMatrix, stationary_distribution
 
 # Nontrivial pairs ``decompose`` keeps when no r is given.
 DEFAULT_PAIRS = 50
@@ -39,15 +39,15 @@ class SpectralDecomposition:
     phi0-weighted inner product, which makes the euclidean metric of the
     full-rank diffusion map coincide with the diffusion distance.  The
     trivial pair (eigenvalue 1, constant eigenvector) is the same for
-    every chain and is not stored.
+    every chain and is not stored; neither is phi0, which
+    ``markov.stationary_distribution`` gives from the chain.
     """
 
     eigenvalues: np.ndarray      # (r,) descending
     eigenvectors: np.ndarray     # (n, r), column j evaluates psi_{j+1}
-    phi0: np.ndarray
 
     def __post_init__(self):
-        for name in ("eigenvalues", "eigenvectors", "phi0"):
+        for name in ("eigenvalues", "eigenvectors"):
             object.__setattr__(self, name, frozen_array(getattr(self, name)))
 
     @property
@@ -70,9 +70,10 @@ class DiffusionEmbedding:
 def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
     """Leading r nontrivial eigenpairs of A, via its symmetric conjugate.
 
-    With kernel row sums s, M = S^{1/2} A S^{-1/2} is symmetric; its
-    orthonormal eigenvectors map back to right eigenvectors of A, which
-    are then scaled to phi0-orthonormality.  ``r=None`` keeps
+    With kernel W and row sums s, M = S^{-1/2} W S^{-1/2} = S^{1/2} A
+    S^{-1/2} is symmetric (bitwise, as W is); its orthonormal
+    eigenvectors map back to right eigenvectors of A, which are then
+    scaled to phi0-orthonormality.  ``r=None`` keeps
     ``min(DEFAULT_PAIRS, n - 1)`` pairs.  Sign convention: the entry of
     largest magnitude in each eigenvector is positive (ties broken by
     lowest index).
@@ -89,18 +90,17 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
         raise ValidationError(
             f"number of eigenpairs r must lie in [1, {n - 1}], got {r!r}")
     r = int(r)
-    a = transition.matrix
     s = transition.kernel_row_sums
     sqrt_s = np.sqrt(s)
-    sym = a * (sqrt_s[:, None] / sqrt_s[None, :])
-    sym = 0.5 * (sym + sym.T)
+    sym = np.outer(1.0 / sqrt_s, 1.0 / sqrt_s)
+    sym *= transition.kernel
     block = r + 1 + _GUARD
     pairs = None
     if 2 * _DEPTH * block <= n:
         pairs = _krylov_pairs(sym, sqrt_s / np.linalg.norm(sqrt_s), r + 1, block)
     eigvals, eigvecs = _eigh_pairs(sym, r + 1) if pairs is None else pairs
+    phi0 = stationary_distribution(transition).probabilities
     total = s.sum()
-    phi0 = s / total
     # back-scaled, the dropped top vector must be the constant 1
     top = eigvecs[:, 0] * np.sqrt(total) / sqrt_s
     deviation = float(np.sqrt(phi0 @ (top * np.sign(phi0 @ top) - 1.0) ** 2))
@@ -113,7 +113,7 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
     psi = (eigvecs[:, 1:] / sqrt_s[:, None]) * np.sqrt(total)
     lead = np.argmax(np.abs(psi), axis=0)
     psi[:, psi[lead, np.arange(r)] < 0] *= -1.0
-    return SpectralDecomposition(eigenvalues=eigvals[1:], eigenvectors=psi, phi0=phi0)
+    return SpectralDecomposition(eigenvalues=eigvals[1:], eigenvectors=psi)
 
 
 def _eigh_pairs(sym: np.ndarray, wanted: int):

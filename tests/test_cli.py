@@ -90,25 +90,63 @@ def test_gen_and_embed_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _rerun_recorded_config(argv, paths):
+    """Run argv, then the argv rebuilt from the config recorded in the last
+    of ``paths`` (a sidecar, or a JSON output that embeds its config); every
+    path must come back byte-identical.  Returns that config."""
+    assert main(argv) == 0
+    original = [path.read_bytes() for path in paths]
+    config = json.loads(paths[-1].read_text())["config"]
+    for path in paths:
+        path.unlink()
+    assert main(config_argv(config)) == 0
+    assert [path.read_bytes() for path in paths] == original
+    return config
+
+
 def test_sidecar_round_trip_reproduces_output(tmp_path):
-    data = _gen(tmp_path)
-    runs = [
-        (["embed", "--input", str(data), "--r", "3", "--response", "response",
-          "--out", str(tmp_path / "coords.csv")], ["coords.csv"]),
-        (["regress", "--input", str(data), "--r", "8", "--response", "response",
-          "--folds", "5", "--seed", "2", "--out-model", str(tmp_path / "m.npz"),
-          "--out-predictions", str(tmp_path / "fitted.csv")], ["m.npz", "fitted.csv"]),
-    ]
-    for argv, outputs in runs:
-        assert main(argv) == 0
-        paths = [tmp_path / name for name in outputs]
-        paths += [Path(f"{path}.meta.json") for path in paths]
-        original = [path.read_bytes() for path in paths]
-        sidecar = json.loads(paths[-1].read_text())
-        for path in paths:
-            path.unlink()
-        assert main(config_argv(sidecar["config"])) == 0
-        assert [path.read_bytes() for path in paths] == original
+    def files(*names):
+        return [tmp_path / name for name in names]
+
+    data, lib, obs = files("d.csv", "lib.csv", "obs.csv")
+    _rerun_recorded_config(
+        ["gen", "--kind", "swiss-roll", "--n", "30", "--seed", "3", "--noise-sd", "0.05",
+         "--out", str(data)], files("d.csv", "d.csv.meta.json"))
+    _rerun_recorded_config(
+        ["embed", "--input", str(data), "--r", "3", "--response", "response",
+         "--out", str(tmp_path / "coords.csv"), "--save-model", str(tmp_path / "e.npz")],
+        files("coords.csv", "coords.csv.meta.json", "e.npz", "e.npz.meta.json"))
+    _rerun_recorded_config(
+        ["regress", "--input", str(data), "--r", "8", "--response", "response",
+         "--folds", "5", "--seed", "2", "--out-model", str(tmp_path / "m.npz"),
+         "--out-predictions", str(tmp_path / "fitted.csv")],
+        files("m.npz", "fitted.csv", "m.npz.meta.json", "fitted.csv.meta.json"))
+    _rerun_recorded_config(
+        ["extend", "--model", str(tmp_path / "e.npz"), "--input", str(data),
+         "--response", "response", "--out", str(tmp_path / "x.csv")],
+        files("x.csv", "x.csv.meta.json"))
+    _rerun_recorded_config(
+        ["predict", "--model", str(tmp_path / "m.npz"), "--input", str(data),
+         "--out", str(tmp_path / "p.csv")], files("p.csv", "p.csv.meta.json"))
+    _rerun_recorded_config(
+        ["gen", "--kind", "degenerate-components", "--n", "24", "--seed", "5",
+         "--out", str(lib)], files("lib.csv", "lib.csv.meta.json"))
+    config = _rerun_recorded_config(
+        ["prototype", "--input", str(lib), "--k", "4", "--seed", "2", "--epsilon-value", "5",
+         "--out-prefix", str(tmp_path / "proto")],
+        files("proto.prototypes.csv", "proto.assignments.csv", "proto.centroids.csv",
+              "proto.meta.json"))
+    assert config["epsilon_value"] == 5.0 and "epsilon" not in config
+    assert "--epsilon-value" in config_argv(config)
+    # observations: the prototype spectra without their two label columns
+    rows = [row.split(",") for row in (tmp_path / "proto.prototypes.csv").read_text().splitlines()]
+    obs.write_text("".join(",".join([row[0], *row[3:]]) + "\n" for row in rows))
+    _rerun_recorded_config(
+        ["fit-mixture", "--prototypes", str(tmp_path / "proto.prototypes.csv"),
+         "--input", str(obs), "--out", str(tmp_path / "fit.json")], files("fit.json"))
+    _rerun_recorded_config(
+        ["bench-quantization", "--input", str(lib), "--k", "4", "--trials", "5",
+         "--seed", "1", "--out", str(tmp_path / "bench.json")], files("bench.json"))
 
 
 def test_removed_flags_are_unknown(tmp_path, capsys):
@@ -400,7 +438,8 @@ MALFORMED = [
     ("model-is-npy", "predict", lambda m, bad: bad.write_bytes(_npy_bytes(np.ones(3)))),
     ("model-json", "predict", lambda m, bad: bad.write_text('{"model": {"p": 1}')),
     ("model-directory", "predict", lambda m, bad: bad.mkdir()),
-    ("missing-phi0", "predict", lambda m, bad: _rewrite(m / "reg.npz", bad, phi0=None)),
+    ("missing-eigenvalues", "predict",
+     lambda m, bad: _rewrite(m / "reg.npz", bad, eigenvalues=None)),
     ("missing-intercept", "predict",
      lambda m, bad: _rewrite(m / "reg.npz", bad, intercept=None)),
     ("eigenvalues-int-dtype", "predict",
@@ -414,7 +453,6 @@ MALFORMED = [
      lambda m, bad: _rewrite(m / "emb.npz", bad, eigenvectors=lambda a: a[:, :-1])),
     ("eigenvalues-length", "extend",
      lambda m, bad: _rewrite(m / "emb.npz", bad, eigenvalues=lambda a: a[:-1])),
-    ("phi0-length", "extend", lambda m, bad: _rewrite(m / "emb.npz", bad, phi0=lambda a: a[1:])),
     ("coefficients-beyond-pairs", "predict",
      lambda m, bad: _rewrite(m / "reg.npz", bad, coefficients=np.ones(9))),
     ("coefficients-empty", "predict",
@@ -501,3 +539,20 @@ def test_predict_and_extend_round_trip_through_archives(models, tmp_path, capsys
     assert main(["extend", "--model", str(models / "emb.npz"), "--input", str(query),
                  "--response", "response", "--r", "4", "--out", str(ext)]) == 1
     assert "stores 3 nontrivial eigenpairs" in capsys.readouterr().err
+
+
+def test_archive_with_a_phi0_entry_still_loads(models, tmp_path):
+    """Archives written before phi0 left the format carry it; it is not read."""
+    for name, argv in (("reg.npz", ["predict"]), ("emb.npz", ["extend", "--response", "response"])):
+        with np.load(models / name) as archive:
+            assert "phi0" not in archive.files
+            n = archive["points"].shape[0]
+        legacy = tmp_path / f"legacy-{name}"
+        _rewrite(models / name, legacy, phi0=np.full(n, 1.0 / n))
+        outputs = []
+        for model in (models / name, legacy):
+            out = tmp_path / f"{model.name}.csv"
+            assert main(argv + ["--model", str(model), "--input", str(models / "d.csv"),
+                                "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

@@ -183,8 +183,7 @@ def _truncated(ext, p):
     # what a regression model file stores: the leading p nontrivial pairs
     dec = ext.decomposition
     kept = SpectralDecomposition(
-        eigenvalues=dec.eigenvalues[:p], eigenvectors=dec.eigenvectors[:, :p],
-        phi0=dec.phi0)
+        eigenvalues=dec.eigenvalues[:p], eigenvectors=dec.eigenvectors[:, :p])
     return ExtensionModel(points=ext.points, decomposition=kept,
                           epsilon=ext.epsilon, diss_kind=ext.diss_kind)
 

@@ -76,8 +76,9 @@ def test_eigenvalues_descending_and_bounded():
 
 def test_phi0_weighted_orthonormality():
     data = gaussian_dataset(18, 2, 4)
-    _, _, s = pipeline(data)
-    gram = (s.eigenvectors * s.phi0[:, None]).T @ s.eigenvectors
+    _, t, s = pipeline(data)
+    phi0 = stationary_distribution(t).probabilities
+    gram = (s.eigenvectors * phi0[:, None]).T @ s.eigenvectors
     assert np.abs(gram - np.eye(data.n - 1)).max() <= 1e-9
 
 
@@ -129,7 +130,7 @@ def test_embed_r_bounded_by_stored_pairs():
     data = gaussian_dataset(12, 2, 9)
     _, _, s = pipeline(data)
     short = SpectralDecomposition(
-        eigenvalues=s.eigenvalues[:4], eigenvectors=s.eigenvectors[:, :4], phi0=s.phi0)
+        eigenvalues=s.eigenvalues[:4], eigenvectors=s.eigenvectors[:, :4])
     np.testing.assert_array_equal(embed(short, 2, 4).coords, embed(s, 2, 4).coords)
     with pytest.raises(ValidationError, match="stores 4"):
         embed(short, 1, 5)
@@ -240,11 +241,10 @@ def _full_eigh_oracle(transition):
     eigh, descending order without the trivial top pair, phi0-orthonormal
     scaling, largest-magnitude entry positive.
     """
-    a = transition.matrix
     s = transition.kernel_row_sums
     sqrt_s = np.sqrt(s)
-    sym = a * (sqrt_s[:, None] / sqrt_s[None, :])
-    sym = 0.5 * (sym + sym.T)
+    sym = np.outer(1.0 / sqrt_s, 1.0 / sqrt_s)
+    sym *= transition.kernel
     eigvals, eigvecs = np.linalg.eigh(sym)
     eigvals = eigvals[::-1][1:]
     eigvecs = eigvecs[:, ::-1][:, 1:]
@@ -280,7 +280,8 @@ def _assert_matches_oracle(transition, dec):
     residual = transition.matrix @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
     assert np.abs(residual).max() <= 1e-10
     # |cos| in the phi0 inner product, for pairs separated from both neighbours
-    cos = np.abs(np.sum(dec.eigenvectors * psi[:, :r] * dec.phi0[:, None], axis=0))
+    phi0 = stationary_distribution(transition).probabilities
+    cos = np.abs(np.sum(dec.eigenvectors * psi[:, :r] * phi0[:, None], axis=0))
     spectrum = np.concatenate([[1.0], lam, [-np.inf]])
     gaps = np.minimum(spectrum[:r] - spectrum[1:r + 1], spectrum[1:r + 1] - spectrum[2:r + 2])
     separated = gaps > 1e-6
