@@ -13,9 +13,21 @@ from .errors import ValidationError
 
 DISS_KINDS = ("sqeuclidean", "euclidean", "table")
 
+# Side of the square tiles ``validate_dissimilarity`` checks for symmetry.
+_SYMMETRY_TILE = 256
+
 
 def frozen_array(values, dtype=np.float64) -> np.ndarray:
-    """Copy ``values`` into a read-only C-contiguous array."""
+    """``values`` as a read-only C-contiguous array of ``dtype``.
+
+    An ndarray that is already of ``dtype``, C-contiguous, read-only and
+    the owner of its data is returned as it is, without a copy; anything
+    writable, or a view, is copied, so later writes to the source do not
+    reach the result.
+    """
+    if (type(values) is np.ndarray and values.dtype == dtype and values.flags.owndata
+            and values.flags.c_contiguous and not values.flags.writeable):
+        return values
     out = np.ascontiguousarray(np.array(values, dtype=dtype))
     out.setflags(write=False)
     return out
@@ -103,8 +115,14 @@ def validate_dissimilarity(values, what: str = "dissimilarity matrix") -> np.nda
         raise ValidationError(f"{what} has negative entries")
     if (np.diag(dmat) != 0).any():
         raise ValidationError(f"{what} diagonal must be zero")
-    if not np.array_equal(dmat, dmat.T):
-        raise ValidationError(f"{what} must be symmetric")
+    n = dmat.shape[0]
+    # tile by tile against the mirrored tile: a whole transposed read
+    # strides through memory
+    for i in range(0, n, _SYMMETRY_TILE):
+        for j in range(i, n, _SYMMETRY_TILE):
+            if not np.array_equal(dmat[i:i + _SYMMETRY_TILE, j:j + _SYMMETRY_TILE],
+                                  dmat[j:j + _SYMMETRY_TILE, i:i + _SYMMETRY_TILE].T):
+                raise ValidationError(f"{what} must be symmetric")
     return dmat
 
 

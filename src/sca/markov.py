@@ -61,25 +61,42 @@ def build_transition(dmat: np.ndarray, epsilon: float,
         raise ValidationError("need at least 2 observations")
     if not epsilon > 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    weights = np.exp(-dmat / epsilon)
+    # one n x n buffer: exp(-D/eps) computed in place, then frozen as it is
+    weights = np.divide(dmat, -epsilon)
+    np.exp(weights, out=weights)
     if not weights.all():
         i, j = np.argwhere(weights == 0.0)[0]
         raise NumericalError(
             f"kernel entry underflowed to zero at row {i} (pair {i},{j}); "
             f"epsilon={epsilon!r} is far too small for this dissimilarity scale"
         )
+    weights.setflags(write=False)
     return TransitionMatrix(kernel=weights, kernel_row_sums=weights.sum(axis=1),
                             epsilon=float(epsilon), diss_kind=diss_kind)
 
 
 def default_epsilon(dmat: np.ndarray) -> float:
-    """Median of the strictly-upper-triangle dissimilarities (scale heuristic)."""
+    """Median of the strictly-upper-triangle dissimilarities (scale heuristic).
+
+    The triangle is gathered row by row into one buffer of n(n-1)/2
+    entries and partitioned in place at its middle ranks and its last
+    one, which is where a NaN lands, as in ``np.median``; the value is
+    bitwise ``np.median`` of the triangle.
+    """
     dmat = np.asarray(dmat, dtype=np.float64)
     n = dmat.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 observations")
-    upper = dmat[np.triu_indices(n, k=1)]
-    med = float(np.median(upper))
+    upper = np.concatenate([dmat[i, i + 1:] for i in range(n - 1)])
+    size = upper.size
+    low, high = (size - 1) // 2, size // 2
+    upper.partition(sorted({low, high, size - 1}))
+    if np.isnan(upper[-1]):
+        med = np.nan
+    elif low == high:
+        med = float(upper[low])
+    else:
+        med = float((upper[low] + upper[high]) / 2)
     if not med > 0:
         raise ValidationError(
             "off-diagonal dissimilarities are degenerate (median is zero); "

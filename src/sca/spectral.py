@@ -26,6 +26,11 @@ _START_SEED = 0
 _GAP_FLOOR = 1e-6
 _CONSTANT_TOL = 1e-4
 
+# Sign convention: the lead entry of an eigenvector is the first whose
+# magnitude is within this relative margin of the largest, so that
+# rounding-level differences between near-equal entries do not decide it.
+_LEAD_TIE = 1e-9
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -74,14 +79,15 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
     S^{-1/2} is symmetric (bitwise, as W is); its orthonormal
     eigenvectors map back to right eigenvectors of A, which are then
     scaled to phi0-orthonormality.  ``r=None`` keeps
-    ``min(DEFAULT_PAIRS, n - 1)`` pairs.  Sign convention: the entry of
-    largest magnitude in each eigenvector is positive (ties broken by
-    lowest index).
+    ``min(DEFAULT_PAIRS, n - 1)`` pairs.  Sign convention: in each
+    eigenvector the lead entry, the lowest-index one whose magnitude is
+    at least (1 - 1e-9) times the largest, is positive.
 
     When the Krylov basis is small next to n the leading pairs come from
-    :func:`_krylov_pairs`; otherwise, or when that solver does not reach
-    its tolerance within its budget, from a full ``eigh``.  A numerically
-    disconnected graph raises NumericalError.
+    :func:`_krylov_pairs`, which applies M through W and the diagonal
+    scalings and never forms it; otherwise, or when that solver does not
+    reach its tolerance within its budget, from a full ``eigh`` of M.  A
+    numerically disconnected graph raises NumericalError.
     """
     n = transition.n
     if r is None:
@@ -92,13 +98,17 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
     r = int(r)
     s = transition.kernel_row_sums
     sqrt_s = np.sqrt(s)
-    sym = np.outer(1.0 / sqrt_s, 1.0 / sqrt_s)
-    sym *= transition.kernel
+    inv_sqrt_s = 1.0 / sqrt_s
     block = r + 1 + _GUARD
     pairs = None
     if 2 * _DEPTH * block <= n:
-        pairs = _krylov_pairs(sym, sqrt_s / np.linalg.norm(sqrt_s), r + 1, block)
-    eigvals, eigvecs = _eigh_pairs(sym, r + 1) if pairs is None else pairs
+        pairs = _krylov_pairs(transition.kernel, inv_sqrt_s,
+                              sqrt_s / np.linalg.norm(sqrt_s), r + 1, block)
+    if pairs is None:
+        sym = np.outer(inv_sqrt_s, inv_sqrt_s)
+        sym *= transition.kernel
+        pairs = _eigh_pairs(sym, r + 1)
+    eigvals, eigvecs = pairs
     phi0 = stationary_distribution(transition).probabilities
     total = s.sum()
     # back-scaled, the dropped top vector must be the constant 1
@@ -111,7 +121,8 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
             f"{_GAP_FLOOR:g}), top eigenvector off the constant by {deviation:.3e} "
             f"(tolerance {_CONSTANT_TOL:g}); try a larger epsilon than {transition.epsilon!r}")
     psi = (eigvecs[:, 1:] / sqrt_s[:, None]) * np.sqrt(total)
-    lead = np.argmax(np.abs(psi), axis=0)
+    magnitude = np.abs(psi)
+    lead = np.argmax(magnitude >= (1.0 - _LEAD_TIE) * magnitude.max(axis=0), axis=0)
     psi[:, psi[lead, np.arange(r)] < 0] *= -1.0
     return SpectralDecomposition(eigenvalues=eigvals[1:], eigenvectors=psi)
 
@@ -141,31 +152,39 @@ def _orthonormalize(w: np.ndarray, previous) -> np.ndarray:
     return w
 
 
-def _krylov_pairs(sym: np.ndarray, v0: np.ndarray, wanted: int, block: int):
-    """Leading ``wanted`` pairs of sym by restarted block Krylov-Rayleigh-Ritz.
+def _krylov_pairs(kernel: np.ndarray, scale: np.ndarray, v0: np.ndarray,
+                  wanted: int, block: int):
+    """Leading ``wanted`` pairs of M = diag(scale) W diag(scale) by restarted
+    block Krylov-Rayleigh-Ritz, with W = ``kernel``.
 
-    Each restart spans [X, M X, M^2 X] from the current ``block`` Ritz
-    vectors X (the first start block holds v0 and seeded Gaussian
-    columns), and keeps the leading ``block`` Ritz pairs of M on that
-    span.  It stops when every wanted pair has ||M x - theta x||_2 <=
+    Products M X are taken as scale * (W (scale * X)), so M is never
+    formed.  Each restart spans [X, M X, M^2 X] from the current
+    ``block`` Ritz vectors X (the first start block holds v0 and seeded
+    Gaussian columns), and keeps the leading ``block`` Ritz pairs of M on
+    that span.  It stops when every wanted pair has ||M x - theta x||_2 <=
     ``_RESIDUAL_TOL`` (||M||_2 = 1 for a diffusion operator) and returns
     (theta, X) in descending order.  Returns None when the products with
     M reach 2n columns (4n^3 flops), about the work of a full ``eigh``,
     or as soon as the rate at which the largest residual fell over the
     last two restarts would not reach the tolerance within that budget.
     """
-    n = sym.shape[0]
+    n = kernel.shape[0]
+    scale = scale[:, None]
+
+    def apply(x):
+        return scale * (kernel @ (scale * x))
+
     start = np.random.default_rng(_START_SEED).standard_normal((n, block))
     start[:, 0] = v0
     x = np.linalg.qr(start)[0]
-    mx = sym @ x
+    mx = apply(x)
     restarts = 2 * n // ((_DEPTH - 1) * block)
     worst = []
     for done in range(1, restarts + 1):
         blocks, images = [x], [mx]
         for _ in range(_DEPTH - 1):
             blocks.append(_orthonormalize(images[-1], blocks))
-            images.append(sym @ blocks[-1])
+            images.append(apply(blocks[-1]))
         basis, image = np.hstack(blocks), np.hstack(images)
         h = basis.T @ image
         theta, y = np.linalg.eigh(0.5 * (h + h.T))

@@ -1,18 +1,20 @@
-"""Byte-level corruption of a model archive or a prototypes CSV never ends in
-a traceback: the CLI exits 0, or 1 / 2 with an `error:` /
-`numerical failure:` line and no output file."""
+"""Byte-level corruption of a model archive, a prototypes CSV, an input data
+CSV or a `--diss table:` file never ends in a traceback: the CLI exits 0,
+or 1 / 2 with an `error:` / `numerical failure:` line and no output file."""
 
 import contextlib
 import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from sca.cli import main  # noqa: E402
+from sca.dataset import Dissimilarity, load_dataset, pairwise_dissimilarity  # noqa: E402
 
 # (position, byte) overwrites, then an optional cut; positions wrap modulo the size
 CORRUPTIONS = st.tuples(
@@ -41,6 +43,11 @@ def files(tmp_path_factory):
     cells = (base / "proto.prototypes.csv").read_text().splitlines()[1].split(",")
     (base / "obs.csv").write_text("id," + ",".join(f"b{k}" for k in range(len(cells) - 3)) +
                                   "\nq0," + ",".join(cells[3:]) + "\n")
+    points = load_dataset(data, response_column="response")
+    np.savetxt(base / "table.csv", pairwise_dissimilarity(points, Dissimilarity()),
+               delimiter=",")
+    assert main(["embed", "--input", str(data), "--diss", f"table:{base / 'table.csv'}",
+                 "--r", "3", "--out", str(base / "table.coords.csv")]) == 0
     return base
 
 
@@ -75,3 +82,17 @@ def test_corrupted_model_archive(files, corruption):
 def test_corrupted_prototypes_csv(files, corruption):
     _run_corrupted(files / "proto.prototypes.csv", corruption, lambda bad: [
         "fit-mixture", "--prototypes", str(bad), "--input", str(files / "obs.csv")])
+
+
+@FUZZ
+@given(corruption=CORRUPTIONS)
+def test_corrupted_input_data_csv(files, corruption):
+    _run_corrupted(files / "d.csv", corruption, lambda bad: [
+        "embed", "--input", str(bad), "--response", "response", "--r", "3"])
+
+
+@FUZZ
+@given(corruption=CORRUPTIONS)
+def test_corrupted_dissimilarity_table(files, corruption):
+    _run_corrupted(files / "table.csv", corruption, lambda bad: [
+        "embed", "--input", str(files / "d.csv"), "--diss", f"table:{bad}", "--r", "3"])

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from sca import dataset
 from sca.dataset import (
     DataSet,
     Dissimilarity,
+    frozen_array,
     load_dataset,
     pairwise_dissimilarity,
+    validate_dissimilarity,
 )
 from sca.errors import ValidationError
 
@@ -102,6 +105,40 @@ def test_dataset_points_are_read_only():
         data.points[0, 0] = 99.0
 
 
+# --- frozen_array ------------------------------------------------------------
+
+def test_frozen_array_copies_a_writable_array():
+    source = np.arange(6.0).reshape(2, 3)
+    frozen = frozen_array(source)
+    source[0, 0] = 99.0
+    assert frozen[0, 0] == 0.0 and not frozen.flags.writeable
+
+
+def test_frozen_array_copies_a_read_only_view():
+    source = np.arange(12.0).reshape(3, 4)
+    view = source[:, :2]
+    view.setflags(write=False)
+    frozen = frozen_array(view)
+    assert not np.shares_memory(frozen, source)
+    source[0, 0] = 99.0
+    assert frozen[0, 0] == 0.0 and frozen.flags.c_contiguous
+    # a read-only contiguous view is copied too
+    row = source[1]
+    row.setflags(write=False)
+    assert not np.shares_memory(frozen_array(row), source)
+
+
+def test_frozen_array_keeps_a_frozen_owner_without_copying():
+    owner = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    owner.setflags(write=False)
+    assert frozen_array(owner) is owner
+    # other dtypes and layouts still get their own copy
+    assert frozen_array(owner, dtype=np.int64) is not owner
+    fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    fortran.setflags(write=False)
+    assert frozen_array(fortran).flags.c_contiguous
+
+
 # --- pairwise dissimilarities ----------------------------------------------
 
 def test_sqeuclidean_hand_values():
@@ -176,3 +213,34 @@ def test_user_table_nonzero_diagonal_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValidationError, match="unknown dissimilarity kind"):
         Dissimilarity(kind="cosine")
+
+
+# --- tiled symmetry check ------------------------------------------------------
+
+def _symmetric_table(n):
+    d = pairwise_dissimilarity(gaussian_dataset(n, 2, n), Dissimilarity())
+    return d.copy()
+
+
+_TILE = dataset._SYMMETRY_TILE
+
+
+@pytest.mark.parametrize("n, i, j", [
+    (2 * _TILE + 88, 10, 20),                        # inside a diagonal tile
+    (2 * _TILE + 88, 3, _TILE + 7),                  # off-diagonal tile, upper
+    (2 * _TILE + 88, _TILE + 7, 3),                  # off-diagonal tile, lower
+    (2 * _TILE + 88, _TILE - 1, _TILE),              # across a tile boundary
+    (2 * _TILE + 88, 2 * _TILE + 80, 2 * _TILE + 87),  # partial last diagonal tile
+    (2 * _TILE + 88, 5, 2 * _TILE + 87),             # partial last column of tiles
+    (2 * _TILE + 88, 2 * _TILE + 87, _TILE + 1),     # partial last row of tiles
+    (37, 36, 0),                                     # n smaller than one tile
+    (37, 0, 36),
+])
+def test_tiled_symmetry_check_finds_one_asymmetric_entry(n, i, j):
+    d = _symmetric_table(n)
+    validate_dissimilarity(d)
+    d[i, j] = np.nextafter(d[i, j], np.inf)
+    with pytest.raises(ValidationError, match="dissimilarity matrix must be symmetric"):
+        validate_dissimilarity(d)
+    with pytest.raises(ValidationError, match="^dissimilarity table must be symmetric$"):
+        Dissimilarity(kind="table", table=d)

@@ -71,6 +71,15 @@ def test_asymmetric_matrix_rejected():
         build_transition(bad, epsilon=1.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 60])
+def test_kernel_is_bitwise_the_out_of_place_exponential(n):
+    dmat, _, _ = pipeline(gaussian_dataset(n, 3, n))
+    for eps in (default_epsilon(dmat), 0.37, 3):
+        t = build_transition(dmat, eps)
+        assert np.array_equal(t.kernel, np.exp(-dmat / eps))
+        assert np.array_equal(t.kernel_row_sums, np.exp(-dmat / eps).sum(axis=1))
+
+
 def test_uniform_limit_as_epsilon_grows():
     data = gaussian_dataset(14, 3, 8)
     dmat, _, _ = pipeline(data)
@@ -97,6 +106,48 @@ def test_default_epsilon_matches_sort_oracle():
     assert len(upper) == 190
     oracle = 0.5 * (upper[94] + upper[95])
     assert default_epsilon(dmat) == pytest.approx(oracle, rel=1e-15)
+
+
+def _median_oracle(dmat):
+    return np.median(dmat[np.triu_indices(dmat.shape[0], 1)])
+
+
+def _symmetric(values):
+    upper = np.triu(values, 1)
+    return upper + upper.T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_default_epsilon_is_bitwise_the_triangle_median(n):
+    # n(n-1)/2 is odd for n = 2, 3, 6, 7 and even for n = 4, 5
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        dmat = _symmetric(rng.uniform(0.0, 10.0, size=(n, n)))
+        assert default_epsilon(dmat) == _median_oracle(dmat)
+        # ties and zeros: a few distinct small integers
+        ties = _symmetric(rng.integers(0, 3, size=(n, n)).astype(float))
+        if _median_oracle(ties) > 0:
+            assert default_epsilon(ties) == _median_oracle(ties)
+        else:
+            with pytest.raises(ValidationError, match="degenerate"):
+                default_epsilon(ties)
+
+
+@pytest.mark.parametrize("n", [60, 121, 400])
+def test_default_epsilon_is_bitwise_the_triangle_median_on_data(n):
+    dmat, _, _ = pipeline(gaussian_dataset(n, 3, 1))
+    assert default_epsilon(dmat) == _median_oracle(dmat)
+    # does not write to its argument
+    assert np.array_equal(dmat, pipeline(gaussian_dataset(n, 3, 1))[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_default_epsilon_nan_entry_rejected(n):
+    for i, j in [(0, 1), (0, n - 1), (n - 2, n - 1)]:
+        dmat = _symmetric(np.arange(1.0, n * n + 1).reshape(n, n))
+        dmat[i, j] = dmat[j, i] = np.nan
+        with pytest.raises(ValidationError, match="degenerate"):
+            default_epsilon(dmat)
 
 
 # --- stationary distribution -----------------------------------------------

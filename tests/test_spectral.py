@@ -82,12 +82,29 @@ def test_phi0_weighted_orthonormality():
     assert np.abs(gram - np.eye(data.n - 1)).max() <= 1e-9
 
 
-def test_sign_convention_largest_entry_positive():
+def test_sign_convention_lead_entry_positive():
     data = gaussian_dataset(15, 3, 5)
     _, _, s = pipeline(data)
     for j in range(s.eigenvectors.shape[1]):
-        col = s.eigenvectors[:, j]
-        assert col[np.argmax(np.abs(col))] > 0
+        magnitude = np.abs(s.eigenvectors[:, j])
+        lead = np.flatnonzero(magnitude >= (1.0 - 1e-9) * magnitude.max())[0]
+        assert s.eigenvectors[lead, j] > 0
+
+
+@pytest.mark.parametrize("column", [
+    [0.1, -np.nextafter(0.5, 1.0), 0.5, 0.3],   # the lower index is larger by one ulp
+    [0.1, -0.5, np.nextafter(0.5, 1.0), 0.3],   # the higher index is larger by one ulp
+])
+def test_sign_convention_is_not_decided_by_one_ulp(monkeypatch, column):
+    # on the uniform 4-point chain psi = 2 x the solver's vector exactly;
+    # the two largest |entries| tie to one ulp with opposite signs, and the
+    # lead is the lower index whichever of them rounding made larger
+    vectors = np.column_stack([np.full(4, 0.5), column])
+    monkeypatch.setattr(spectral, "_eigh_pairs",
+                        lambda sym, wanted: (np.array([1.0, 0.5]), vectors))
+    psi = decompose(build_transition(np.zeros((4, 4)), 1.0), 1).eigenvectors[:, 0]
+    assert np.array_equal(np.abs(psi), 2.0 * np.abs(column))
+    assert psi[1] > 0 and psi[2] < 0
 
 
 def test_decompose_is_bitwise_deterministic():
@@ -239,7 +256,8 @@ def _full_eigh_oracle(transition):
 
     This is the whole-spectrum decomposition, step for step: conjugate,
     eigh, descending order without the trivial top pair, phi0-orthonormal
-    scaling, largest-magnitude entry positive.
+    scaling, and positive lead entry (the first within 1e-9 relative of
+    the largest magnitude).
     """
     s = transition.kernel_row_sums
     sqrt_s = np.sqrt(s)
@@ -251,7 +269,8 @@ def _full_eigh_oracle(transition):
     total = s.sum()
     psi = (eigvecs / sqrt_s[:, None]) * np.sqrt(total)
     for j in range(psi.shape[1]):
-        lead = np.argmax(np.abs(psi[:, j]))
+        magnitude = np.abs(psi[:, j])
+        lead = np.flatnonzero(magnitude >= (1.0 - 1e-9) * magnitude.max())[0]
         if psi[lead, j] < 0:
             psi[:, j] = -psi[:, j]
     return eigvals, psi
