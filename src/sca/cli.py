@@ -22,7 +22,7 @@ import numpy as np
 from . import synthetic
 from .dataset import Dissimilarity, load_dataset, pairwise_dissimilarity, parse_table, read_table
 from .errors import NumericalError, ValidationError
-from .markov import build_transition, default_epsilon
+from .markov import build_transition
 from .nystrom import ExtensionModel, build_extension, extend_embedding
 from .prototypes import (
     PrototypeSet,
@@ -122,30 +122,31 @@ def _parse_diss(text: str):
             table = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"malformed dissimilarity table {path}: {exc}") from exc
+        # frozen as read, so Dissimilarity keeps this buffer without a copy
+        table.setflags(write=False)
         return Dissimilarity(kind="table", table=table)
     raise ValidationError(
         f"unknown dissimilarity {text!r}; expected sqeuclidean, euclidean, or table:<path>"
     )
 
 
-def _resolve_epsilon(eps_text: str, dmat: np.ndarray) -> float:
+def _resolve_epsilon(eps_text: str):
+    """'auto' -> None (``build_transition`` applies its default rule), else a float."""
     if eps_text == "auto":
-        return default_epsilon(dmat)
+        return None
     try:
-        value = float(eps_text)
+        return float(eps_text)
     except ValueError:
         raise ValidationError(f"epsilon must be a positive real or 'auto', got {eps_text!r}")
-    return value
 
 
 def _embedding_pipeline(args, data, t: int):
     diss = _parse_diss(args.diss)
     dmat = pairwise_dissimilarity(data, diss)
-    epsilon = _resolve_epsilon(args.epsilon, dmat)
-    transition = build_transition(dmat, epsilon, diss_kind=diss.kind)
+    transition = build_transition(dmat, _resolve_epsilon(args.epsilon), diss_kind=diss.kind)
     decomposition = decompose(transition, args.r)
     embedding = embed(decomposition, t, decomposition.eigenvalues.size)
-    return transition, decomposition, embedding, epsilon
+    return transition, decomposition, embedding
 
 
 def _coords_rows(ids, coords):
@@ -288,12 +289,12 @@ def _read_input(args):
 def _cmd_embed(args) -> int:
     table, id_column = _read_input(args)
     data = load_dataset(table, response_column=args.response, id_column=id_column)
-    transition, decomposition, embedding, epsilon = _embedding_pipeline(args, data, args.t)
+    transition, decomposition, embedding = _embedding_pipeline(args, data, args.t)
     r = embedding.r
     if args.save_model:
         extension = build_extension(data, transition, decomposition)
     out = args.out or _derived_out(args.input, ".coords.csv")
-    config = _config(args, r=r, epsilon=epsilon, id_column=id_column, out=out)
+    config = _config(args, r=r, epsilon=transition.epsilon, id_column=id_column, out=out)
     info = {
         "n": data.n, "d": data.d,
         "eigenvalues": [float(v) for v in decomposition.eigenvalues[:r]],
@@ -326,12 +327,12 @@ def _cmd_extend(args) -> int:
 def _cmd_regress(args) -> int:
     table, id_column = _read_input(args)
     data = load_dataset(table, response_column=args.response, id_column=id_column)
-    transition, decomposition, embedding, epsilon = _embedding_pipeline(args, data, 1)
+    transition, decomposition, embedding = _embedding_pipeline(args, data, 1)
     extension = build_extension(data, transition, decomposition)
     model = fit(data, embedding, extension, folds=args.folds, seed=args.seed)
     out_model = args.out_model or _derived_out(args.input, ".model.npz")
     out_preds = args.out_predictions or _derived_out(args.input, ".fitted.csv")
-    config = _config(args, r=embedding.r, epsilon=epsilon, id_column=id_column,
+    config = _config(args, r=embedding.r, epsilon=transition.epsilon, id_column=id_column,
                      out_model=out_model, out_predictions=out_preds)
     # t is stored only as the default ``extend`` uses on this model
     _save_model(out_model, extension, 1, model.p, model, args.response)
@@ -368,7 +369,7 @@ def _cmd_predict(args) -> int:
 def _cmd_prototype(args) -> int:
     lib = load_component_library(args.input, ref_index=args.ref_index)
     proto = diffusion_kmeans(lib, args.k, t=args.t, r=args.r, seed=args.seed,
-                             epsilon=args.epsilon_value)
+                             epsilon=_resolve_epsilon(args.epsilon))
     r = proto.centroids_diffusion.shape[1]
     prefix = args.out_prefix or str(Path(args.input).with_suffix(""))
     out_protos = f"{prefix}.prototypes.csv"
@@ -417,7 +418,7 @@ def _cmd_fit_mixture(args) -> int:
     out = args.out or _derived_out(args.input, ".mixture.json")
     fits = []
     for i in range(len(ids)):
-        result = fit_mixture(proto, points[i], noise_sd=args.noise_sd)
+        result = fit_mixture(proto, points[i])
         fits.append({
             "id": ids[i],
             "gamma": [float(g) for g in result.gamma],
@@ -451,11 +452,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_EPSILON_HELP = "kernel bandwidth, a positive real or 'auto' (median heuristic)"
+
+
 def _add_embedding_flags(sub, with_seed: bool, response_required: bool = False):
     sub.add_argument("--input", required=True)
     sub.add_argument("--r", type=int, default=None)
-    sub.add_argument("--epsilon", default="auto",
-                     help="kernel bandwidth, a positive real or 'auto' (median heuristic)")
+    sub.add_argument("--epsilon", default="auto", help=_EPSILON_HELP)
     sub.add_argument("--diss", default="sqeuclidean",
                      help="sqeuclidean | euclidean | table:<path>")
     sub.add_argument("--response", default=None, required=response_required,
@@ -522,15 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
     proto.add_argument("--r", type=int, default=None)
     proto.add_argument("--seed", type=int, required=True)
     proto.add_argument("--ref-index", type=int, default=0)
-    proto.add_argument("--epsilon-value", type=float, default=None,
-                       help="kernel bandwidth override (default: median heuristic)")
+    proto.add_argument("--epsilon", default="auto", help=_EPSILON_HELP)
     proto.add_argument("--out-prefix", default=None)
     proto.set_defaults(func=_cmd_prototype)
 
     mix = subs.add_parser("fit-mixture", help="simplex mixture fit against prototypes")
     mix.add_argument("--prototypes", required=True)
     mix.add_argument("--input", required=True)
-    mix.add_argument("--noise-sd", type=float, default=1.0)
     mix.add_argument("--id-column", default=None)
     mix.add_argument("--out", default=None)
     mix.set_defaults(func=_cmd_fit_mixture)

@@ -138,7 +138,7 @@ def pairwise_dissimilarity(data: DataSet, diss: Dissimilarity) -> np.ndarray:
             raise ValidationError(
                 f"table shape {diss.table.shape} does not match n={data.n}"
             )
-        return np.array(diss.table)
+        return diss.table
     sq = kernels.pairwise_sq_dists(data.points)
     if diss.kind == "euclidean":
         return np.sqrt(sq)

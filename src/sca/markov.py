@@ -1,6 +1,7 @@
 """Row-stochastic Markov kernel over observed data and its stationary law."""
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -48,10 +49,13 @@ class StationaryDistribution:
         object.__setattr__(self, "probabilities", frozen_array(self.probabilities))
 
 
-def build_transition(dmat: np.ndarray, epsilon: float,
+def build_transition(dmat: np.ndarray, epsilon: Optional[float] = None,
                      diss_kind: str = "sqeuclidean") -> TransitionMatrix:
     """Gaussian-kernel chain: W_ij = exp(-D_ij/eps), A_ij = W_ij / sum_k W_ik.
 
+    The bandwidth eps is ``epsilon`` when given, else ``default_epsilon(D)``
+    (the median off-diagonal dissimilarity), taken after D is validated so
+    that a NaN in D is reported as non-finite.
     Any kernel entry that underflows to zero breaks the
     strictly-positive-chain invariant and raises NumericalError naming
     the offending row.
@@ -59,7 +63,9 @@ def build_transition(dmat: np.ndarray, epsilon: float,
     dmat = validate_dissimilarity(dmat)
     if dmat.shape[0] < 2:
         raise ValidationError("need at least 2 observations")
-    if not epsilon > 0:
+    if epsilon is None:
+        epsilon = default_epsilon(dmat)
+    elif not epsilon > 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     # one n x n buffer: exp(-D/eps) computed in place, then frozen as it is
     weights = np.divide(dmat, -epsilon)

@@ -9,7 +9,7 @@ mixture-weighted average log age and log metallicity.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,10 +17,11 @@ import numpy as np
 from . import kernels
 from .dataset import frozen_array, parse_table
 from .errors import NumericalError, ValidationError
-from .markov import build_transition, default_epsilon
+from .markov import build_transition
 from .spectral import decompose, embed
 
 KKT_TOL = 1e-8
+_LLOYD_MAX_ITER = 500  # cap on the Lloyd iterations of diffusion_kmeans
 
 
 def _check_ref_index(ref_index: int, d: int) -> None:
@@ -150,14 +151,13 @@ def _kmeans_pp_seed(coords: np.ndarray, k: int, rng) -> np.ndarray:
 
 def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
                      r: Optional[int] = None, seed: int = 0,
-                     epsilon: Optional[float] = None,
-                     max_iter: int = 500) -> PrototypeSet:
+                     epsilon: Optional[float] = None) -> PrototypeSet:
     """Quantize the library by K-means in diffusion coordinates.
 
     Library rows are pre-sorted lexicographically by spectrum before the
     seeded k-means++ start, so the returned prototype set (as a multiset
     of vectors) does not depend on input row order.  Lloyd iterations run
-    to an assignment fixed point or ``max_iter``; an empty cluster is
+    to an assignment fixed point or ``_LLOYD_MAX_ITER``; an empty cluster is
     repaired by reseeding its centroid at the point currently farthest
     from its own centroid.
     """
@@ -170,8 +170,7 @@ def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
     log_met = np.log(lib.metallicities[order])
 
     dmat = kernels.pairwise_sq_dists(spectra)
-    eps = default_epsilon(dmat) if epsilon is None else float(epsilon)
-    decomposition = decompose(build_transition(dmat, eps), r)
+    decomposition = decompose(build_transition(dmat, epsilon), r)
     coords = np.ascontiguousarray(
         embed(decomposition, t, decomposition.eigenvalues.size).coords)
 
@@ -180,7 +179,7 @@ def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
     labels_prev = None
     wcss_history = []
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         labels, d2 = kernels.assign_nearest(coords, centroids)
         wcss_history.append(float(d2.sum()))
         if labels_prev is not None and np.array_equal(labels, labels_prev):
@@ -426,22 +425,6 @@ class MethodBenchmark:
     rmse_log_met: float
     trials: tuple
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "rmse_log_age": self.rmse_log_age,
-            "rmse_log_met": self.rmse_log_met,
-            "trials": [
-                {
-                    "true_log_age": tr.true_log_age,
-                    "est_log_age": tr.est_log_age,
-                    "true_log_met": tr.true_log_met,
-                    "est_log_met": tr.est_log_met,
-                }
-                for tr in self.trials
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class QuantizationReport:
@@ -461,8 +444,8 @@ class QuantizationReport:
             "noise_sd": self.noise_sd,
             "seed": self.seed,
             "methods": {
-                "diffusion": self.diffusion.to_dict(),
-                "grid": self.grid.to_dict(),
+                "diffusion": asdict(self.diffusion),
+                "grid": asdict(self.grid),
             },
             "kmeans_wcss": list(self.diffusion_set.wcss_history),
         }
@@ -488,7 +471,6 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
     }
     log_age = np.log(lib.ages)
     log_met = np.log(lib.metallicities)
-    fit_noise = noise_sd if noise_sd > 0 else 1.0
     records = {name: [] for name in protos}
     for trial in range(n_trials):
         rng = np.random.default_rng([seed, trial])
@@ -497,7 +479,7 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
         true_la = float(weights @ log_age)
         true_lz = float(weights @ log_met)
         for name, proto in protos.items():
-            fit = fit_mixture(proto, observation, noise_sd=fit_noise)
+            fit = fit_mixture(proto, observation)
             records[name].append(TrialRecord(
                 true_log_age=true_la,
                 est_log_age=fit.mean_log_age,

@@ -3,7 +3,7 @@
 import numpy as np
 
 from sca.dataset import DataSet, Dissimilarity, pairwise_dissimilarity
-from sca.markov import build_transition, default_epsilon
+from sca.markov import build_transition
 from sca.nystrom import build_extension
 from sca.spectral import decompose, embed
 
@@ -19,8 +19,7 @@ def gaussian_dataset(n, d, seed, with_response=False):
 def pipeline(data, diss_kind="sqeuclidean", epsilon=None):
     """data -> (dissimilarities, transition, decomposition)."""
     dmat = pairwise_dissimilarity(data, Dissimilarity(kind=diss_kind))
-    eps = default_epsilon(dmat) if epsilon is None else epsilon
-    transition = build_transition(dmat, eps, diss_kind=diss_kind)
+    transition = build_transition(dmat, epsilon, diss_kind=diss_kind)
     return dmat, transition, decompose(transition)
 
 

@@ -132,12 +132,12 @@ def test_sidecar_round_trip_reproduces_output(tmp_path):
         ["gen", "--kind", "degenerate-components", "--n", "24", "--seed", "5",
          "--out", str(lib)], files("lib.csv", "lib.csv.meta.json"))
     config = _rerun_recorded_config(
-        ["prototype", "--input", str(lib), "--k", "4", "--seed", "2", "--epsilon-value", "5",
+        ["prototype", "--input", str(lib), "--k", "4", "--seed", "2", "--epsilon", "5",
          "--out-prefix", str(tmp_path / "proto")],
         files("proto.prototypes.csv", "proto.assignments.csv", "proto.centroids.csv",
               "proto.meta.json"))
-    assert config["epsilon_value"] == 5.0 and "epsilon" not in config
-    assert "--epsilon-value" in config_argv(config)
+    assert config["epsilon"] == "5" and "epsilon_value" not in config
+    assert "--epsilon" in config_argv(config)
     # observations: the prototype spectra without their two label columns
     rows = [row.split(",") for row in (tmp_path / "proto.prototypes.csv").read_text().splitlines()]
     obs.write_text("".join(",".join([row[0], *row[3:]]) + "\n" for row in rows))
@@ -152,8 +152,13 @@ def test_sidecar_round_trip_reproduces_output(tmp_path):
 def test_removed_flags_are_unknown(tmp_path, capsys):
     data = _gen(tmp_path)
     regress = ["regress", "--input", str(data), "--response", "response", "--seed", "1"]
+    # argument parsing fails before any input is read, so the paths need not exist
     for argv in (regress + ["--t", "3"], regress + ["--kernel-cutoff", "30"],
-                 ["embed", "--input", str(data), "--kernel-cutoff", "30"]):
+                 ["embed", "--input", str(data), "--kernel-cutoff", "30"],
+                 ["prototype", "--input", "lib.csv", "--k", "2", "--seed", "1",
+                  "--epsilon-value", "5"],
+                 ["fit-mixture", "--prototypes", "p.csv", "--input", "o.csv",
+                  "--noise-sd", "1"]):
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -80,6 +80,25 @@ def test_kernel_is_bitwise_the_out_of_place_exponential(n):
         assert np.array_equal(t.kernel_row_sums, np.exp(-dmat / eps).sum(axis=1))
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 60, 121])
+def test_default_bandwidth_is_bitwise_the_median_rule(n):
+    dmat, _, _ = pipeline(gaussian_dataset(n, 3, n))
+    t = build_transition(dmat)
+    given = build_transition(dmat, default_epsilon(dmat))
+    assert t.epsilon == given.epsilon
+    assert np.array_equal(t.kernel, given.kernel)
+    assert np.array_equal(t.kernel_row_sums, given.kernel_row_sums)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_non_finite_matrix_named_before_the_bandwidth_rule(n):
+    # default_epsilon alone would call this NaN "degenerate"
+    dmat = _symmetric(np.arange(1.0, n * n + 1).reshape(n, n))
+    dmat[0, n - 1] = dmat[n - 1, 0] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        build_transition(dmat)
+
+
 def test_uniform_limit_as_epsilon_grows():
     data = gaussian_dataset(14, 3, 8)
     dmat, _, _ = pipeline(data)

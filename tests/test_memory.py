@@ -7,14 +7,17 @@ dense buffers it holds at once (its result included).
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from sca import spectral
-from sca.dataset import DataSet, Dissimilarity, pairwise_dissimilarity
+from sca import cli, spectral
+from sca.dataset import DataSet, Dissimilarity, load_dataset, pairwise_dissimilarity
 from sca.markov import build_transition, default_epsilon
 from sca.synthetic import GeneratorSpec, generate
 
 N = 2000
+# size of the --diss table: runs
+N_TABLE = 1000
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +27,19 @@ def dmat():
     return pairwise_dissimilarity(data, Dissimilarity())
 
 
-def _peak_in_matrices(fn, *args):
+@pytest.fixture(scope="module")
+def table_files(tmp_path_factory):
+    """A swiss-roll CSV of N_TABLE points and its squared-euclidean table."""
+    base = tmp_path_factory.mktemp("table")
+    data, table = base / "d.csv", base / "t.csv"
+    assert cli.main(["gen", "--kind", "swiss-roll", "--n", str(N_TABLE), "--seed", "1",
+                     "--noise-sd", "0.05", "--out", str(data)]) == 0
+    points = load_dataset(data, response_column="response")
+    np.savetxt(table, pairwise_dissimilarity(points, Dissimilarity()), delimiter=",")
+    return base, data, table
+
+
+def _peak_in_matrices(fn, *args, n=N):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -32,7 +47,7 @@ def _peak_in_matrices(fn, *args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, (peak - start) / (N * N * 8)
+    return result, (peak - start) / (n * n * 8)
 
 
 def test_default_epsilon_holds_half_a_matrix(dmat):
@@ -59,3 +74,27 @@ def test_krylov_decompose_never_forms_the_conjugate(dmat, monkeypatch):
     decomposition, peak = _peak_in_matrices(spectral.decompose, transition)
     assert decomposition.eigenvalues.size == spectral.DEFAULT_PAIRS
     assert peak <= 0.75, peak
+
+
+def test_table_is_held_once(table_files):
+    # the array np.loadtxt returns is frozen and kept: no copy in
+    # Dissimilarity, none in pairwise_dissimilarity
+    _, data, table = table_files
+    points = load_dataset(data, response_column="response")
+    dmat, peak = _peak_in_matrices(
+        lambda: pairwise_dissimilarity(points, cli._parse_diss(f"table:{table}")), n=N_TABLE)
+    assert peak <= 1.3, peak
+    assert dmat.shape == (N_TABLE, N_TABLE) and not dmat.flags.writeable
+
+
+def test_table_embed_costs_what_computed_distances_cost(table_files):
+    base, data, table = table_files
+    embed = ["embed", "--input", str(data), "--response", "response", "--r", "10"]
+    _, computed = _peak_in_matrices(cli.main, embed + ["--out", str(base / "c.csv")],
+                                    n=N_TABLE)
+    code, peak = _peak_in_matrices(
+        cli.main, embed + ["--diss", f"table:{table}", "--out", str(base / "t.coords.csv")],
+        n=N_TABLE)
+    assert code == 0
+    assert peak <= 2.5, peak
+    assert peak <= computed + 0.05, (peak, computed)
