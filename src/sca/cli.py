@@ -2,8 +2,9 @@
 prototype | fit-mixture | bench-quantization.
 
 Every run resolves its flags (including defaults) into a config dict,
-writes data as CSV and metadata as JSON sidecars carrying that config,
-and writes all files atomically.  Exit status: 0 success, 1 validation
+writes data as CSV with a JSON sidecar carrying that config (or, for
+fit-mixture and bench-quantization, one JSON file with it inline), and
+writes all files atomically.  Exit status: 0 success, 1 validation
 error, 2 numerical failure.
 """
 
@@ -31,7 +32,7 @@ from .prototypes import (
     load_component_library,
     quantization_benchmark,
 )
-from .regression import EigenbasisRegression, fit, fitted_values, predict
+from .regression import EigenbasisRegression, fit, fitted_values, predict, risk_curve
 from .spectral import SpectralDecomposition, decompose, embed
 
 
@@ -56,22 +57,16 @@ def _write_bytes_atomic(path, data: bytes) -> None:
         raise
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _csv_bytes(header, keys, values: np.ndarray) -> bytes:
+    """CSV of key columns (ids, int labels) beside an (n, m) float block.
 
-
-def _csv_bytes(header, rows) -> bytes:
+    ``csv`` writes a Python float as its repr, the shortest text that
+    reads back to the same double, and quotes ids that need it.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt_cell(v) for v in row])
+    writer.writerows(key + floats for *key, floats in zip(*keys, values.tolist()))
     return buf.getvalue().encode("utf-8")
 
 
@@ -149,10 +144,6 @@ def _embedding_pipeline(args, data, t: int):
     return transition, decomposition, embedding
 
 
-def _coords_rows(ids, coords):
-    return [[ids[i], *coords[i]] for i in range(len(ids))]
-
-
 def _psi_header(r: int):
     return ["id"] + [f"psi_{j}" for j in range(1, r + 1)]
 
@@ -171,16 +162,16 @@ def _cmd_gen(args) -> int:
     if args.kind in synthetic.DATASET_KINDS:
         d = result.d
         header = ["id"] + [f"x{k}" for k in range(d)] + ["response"]
-        rows = [[result.ids[i], *result.points[i], result.response[i]]
-                for i in range(result.n)]
+        ids = result.ids
+        values = np.column_stack([result.points, result.response])
         info = {"n": result.n, "d": d, "response_column": "response"}
     else:
         header = ["id", "age", "met"] + [f"b{k}" for k in range(result.n_bins)]
-        rows = [[str(i), result.ages[i], result.metallicities[i], *result.spectra[i]]
-                for i in range(result.n_components)]
+        ids = range(result.n_components)
+        values = np.column_stack([result.ages, result.metallicities, result.spectra])
         info = {"n": result.n_components, "bins": result.n_bins,
                 "ref_index": result.ref_index}
-    _write_bytes_atomic(args.out, _csv_bytes(header, rows))
+    _write_bytes_atomic(args.out, _csv_bytes(header, [ids], values))
     _write_sidecar(args.out, _config(args), info)
     return 0
 
@@ -297,10 +288,9 @@ def _cmd_embed(args) -> int:
     config = _config(args, r=r, epsilon=transition.epsilon, id_column=id_column, out=out)
     info = {
         "n": data.n, "d": data.d,
-        "eigenvalues": [float(v) for v in decomposition.eigenvalues[:r]],
+        "eigenvalues": decomposition.eigenvalues[:r].tolist(),
     }
-    _write_bytes_atomic(out, _csv_bytes(_psi_header(r),
-                                        _coords_rows(data.ids, embedding.coords)))
+    _write_bytes_atomic(out, _csv_bytes(_psi_header(r), [data.ids], embedding.coords))
     _write_sidecar(out, config, info)
     if args.save_model:
         _save_model(args.save_model, extension, args.t, r)
@@ -319,7 +309,7 @@ def _cmd_extend(args) -> int:
     out = args.out or _derived_out(args.input, ".extended.csv")
     info = {"n": len(ids), "d": points.shape[1], "epsilon": model.epsilon,
             "diss_kind": model.diss_kind}
-    _write_bytes_atomic(out, _csv_bytes(_psi_header(r), _coords_rows(ids, coords)))
+    _write_bytes_atomic(out, _csv_bytes(_psi_header(r), [ids], coords))
     _write_sidecar(out, _config(args, t=t, r=r, id_column=id_column, out=out), info)
     return 0
 
@@ -338,11 +328,10 @@ def _cmd_regress(args) -> int:
     _save_model(out_model, extension, 1, model.p, model, args.response)
     _write_sidecar(out_model, config, {
         "n": data.n, "p": model.p,
-        "risk_curve": [[p + 1, float(risk)] for p, risk in enumerate(model.cv_risk_curve)],
+        "risk_curve": risk_curve(model),
     })
-    yhat = fitted_values(model)
-    rows = [[data.ids[i], yhat[i]] for i in range(data.n)]
-    _write_bytes_atomic(out_preds, _csv_bytes(["id", "prediction"], rows))
+    _write_bytes_atomic(out_preds, _csv_bytes(["id", "prediction"], [data.ids],
+                                              fitted_values(model)[:, None]))
     _write_sidecar(out_preds, config, {"p": model.p, "n": data.n})
     return 0
 
@@ -359,8 +348,7 @@ def _cmd_predict(args) -> int:
     points, ids, _ = read_table(table, response_column=drop, id_column=id_column)
     preds = predict(model, points)
     out = args.out or _derived_out(args.input, ".predictions.csv")
-    rows = [[ids[i], preds[i]] for i in range(len(ids))]
-    _write_bytes_atomic(out, _csv_bytes(["id", "prediction"], rows))
+    _write_bytes_atomic(out, _csv_bytes(["id", "prediction"], [ids], preds[:, None]))
     _write_sidecar(out, _config(args, id_column=id_column, out=out),
                    {"n": len(ids), "p": model.p})
     return 0
@@ -377,17 +365,17 @@ def _cmd_prototype(args) -> int:
     out_centroids = f"{prefix}.centroids.csv"
     proto_header = ["id", "mean_log_age", "mean_log_met"] + \
         [f"b{k}" for k in range(lib.n_bins)]
-    proto_rows = [[c, proto.log_ages[c], proto.log_metallicities[c], *proto.prototypes[c]]
-                  for c in range(proto.k)]
-    _write_bytes_atomic(out_protos, _csv_bytes(proto_header, proto_rows))
+    clusters = range(proto.k)
+    _write_bytes_atomic(out_protos, _csv_bytes(proto_header, [clusters], np.column_stack(
+        [proto.log_ages, proto.log_metallicities, proto.prototypes])))
     coord_cols = [f"c_{j}" for j in range(1, r + 1)]
-    assign_rows = [[str(i), int(proto.member_assignments[i]),
-                    *proto.member_coords_diffusion[i]]
-                   for i in range(lib.n_components)]
-    _write_bytes_atomic(out_assign, _csv_bytes(["id", "cluster"] + coord_cols, assign_rows))
-    centroid_rows = [[c, *proto.centroids_diffusion[c]] for c in range(proto.k)]
-    _write_bytes_atomic(out_centroids, _csv_bytes(["cluster"] + coord_cols, centroid_rows))
-    _write_sidecar(prefix, _config(args, r=r, out_prefix=prefix), {
+    _write_bytes_atomic(out_assign, _csv_bytes(
+        ["id", "cluster"] + coord_cols,
+        [range(lib.n_components), proto.member_assignments.tolist()],
+        proto.member_coords_diffusion))
+    _write_bytes_atomic(out_centroids, _csv_bytes(["cluster"] + coord_cols, [clusters],
+                                                  proto.centroids_diffusion))
+    _write_sidecar(prefix, _config(args, r=r, epsilon=proto.epsilon, out_prefix=prefix), {
         "n_components": lib.n_components,
         "wcss_history": list(proto.wcss_history),
         "outputs": [out_protos, out_assign, out_centroids],
@@ -421,7 +409,7 @@ def _cmd_fit_mixture(args) -> int:
         result = fit_mixture(proto, points[i])
         fits.append({
             "id": ids[i],
-            "gamma": [float(g) for g in result.gamma],
+            "gamma": result.gamma.tolist(),
             "residual": result.residual,
             "mean_log_age": result.mean_log_age,
             "mean_log_met": result.mean_log_met,

@@ -65,8 +65,8 @@ def build_transition(dmat: np.ndarray, epsilon: Optional[float] = None,
         raise ValidationError("need at least 2 observations")
     if epsilon is None:
         epsilon = default_epsilon(dmat)
-    elif not epsilon > 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    elif not 0 < epsilon < np.inf:
+        raise ValidationError(f"epsilon must be a positive finite real, got {epsilon}")
     # one n x n buffer: exp(-D/eps) computed in place, then frozen as it is
     weights = np.divide(dmat, -epsilon)
     np.exp(weights, out=weights)

@@ -91,7 +91,8 @@ class PrototypeSet:
     For the K-means quantizer each prototype is the observable-space mean
     of its members and carries their mean log age / log metallicity; the
     grid baseline returns selected components verbatim with their own
-    parameters (and an empty diffusion-centroid block).
+    parameters (and an empty diffusion-centroid block).  ``epsilon`` is
+    the kernel bandwidth K-means embedded with, None for other sets.
     """
 
     prototypes: np.ndarray            # (K, d)
@@ -102,6 +103,7 @@ class PrototypeSet:
     log_metallicities: np.ndarray     # (K,)
     wcss_history: tuple               # per-assignment within-cluster sum of squares
     method: str
+    epsilon: Optional[float] = None
 
     def __post_init__(self):
         for name in ("prototypes", "centroids_diffusion", "member_coords_diffusion",
@@ -164,13 +166,16 @@ def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
     n = lib.n_components
     if not 1 <= k <= n:
         raise ValidationError(f"k must lie in [1, {n}], got {k}")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     order = np.lexsort(lib.spectra.T[::-1])
     spectra = np.ascontiguousarray(lib.spectra[order])
     log_age = np.log(lib.ages[order])
     log_met = np.log(lib.metallicities[order])
 
     dmat = kernels.pairwise_sq_dists(spectra)
-    decomposition = decompose(build_transition(dmat, epsilon), r)
+    transition = build_transition(dmat, epsilon)
+    decomposition = decompose(transition, r)
     coords = np.ascontiguousarray(
         embed(decomposition, t, decomposition.eigenvalues.size).coords)
 
@@ -225,6 +230,7 @@ def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
         log_metallicities=proto_log_met,
         wcss_history=wcss_history,
         method="diffusion-kmeans",
+        epsilon=transition.epsilon,
     )
 
 

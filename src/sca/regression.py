@@ -36,6 +36,8 @@ def kfold_indices(n: int, folds: int, seed: int):
     """Deterministic shuffled K-fold split; a pure function of (n, folds, seed)."""
     if not 2 <= folds <= n:
         raise ValidationError(f"folds must lie in [2, {n}], got {folds}")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 

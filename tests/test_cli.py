@@ -1,5 +1,6 @@
 """CLI behavior: files, exit codes, determinism, sidecar round-trips."""
 
+import csv
 import io
 import json
 import os
@@ -12,12 +13,18 @@ import numpy as np
 import pytest
 
 import sca
+from sca import synthetic
 from sca.cli import config_argv, main
-from sca.dataset import Dissimilarity, load_dataset, pairwise_dissimilarity, read_table
+from sca.dataset import (
+    Dissimilarity, load_dataset, pairwise_dissimilarity, parse_table, read_table,
+)
 from sca.markov import build_transition, default_epsilon
-from sca.nystrom import build_extension
-from sca.regression import fit, predict
+from sca.nystrom import build_extension, extend_embedding
+from sca.prototypes import diffusion_kmeans, load_component_library
+from sca.regression import fit, fitted_values, predict
 from sca.spectral import decompose, embed
+
+from _util import full_pipeline
 
 
 def _gen(tmp_path, name="d.csv", kind="swiss-roll", n=30, seed=3, noise="0.05"):
@@ -136,7 +143,7 @@ def test_sidecar_round_trip_reproduces_output(tmp_path):
          "--out-prefix", str(tmp_path / "proto")],
         files("proto.prototypes.csv", "proto.assignments.csv", "proto.centroids.csv",
               "proto.meta.json"))
-    assert config["epsilon"] == "5" and "epsilon_value" not in config
+    assert config["epsilon"] == 5.0 and "epsilon_value" not in config
     assert "--epsilon" in config_argv(config)
     # observations: the prototype spectra without their two label columns
     rows = [row.split(",") for row in (tmp_path / "proto.prototypes.csv").read_text().splitlines()]
@@ -147,6 +154,99 @@ def test_sidecar_round_trip_reproduces_output(tmp_path):
     _rerun_recorded_config(
         ["bench-quantization", "--input", str(lib), "--k", "4", "--trials", "5",
          "--seed", "1", "--out", str(tmp_path / "bench.json")], files("bench.json"))
+
+
+def _csv_block(path, keys=1):
+    """The key cells and the float block of a CSV the CLI wrote."""
+    rows = parse_table(path).rows
+    return ([row[:keys] for row in rows],
+            np.array([[float(cell) for cell in row[keys:]] for row in rows]))
+
+
+def test_csv_floats_read_back_bitwise(tmp_path):
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0
+
+    data, query, lib = tmp_path / "d.csv", tmp_path / "q.csv", tmp_path / "lib.csv"
+    run("gen", "--kind", "swiss-roll", "--n", 40, "--noise-sd", "0.05", "--seed", 3,
+        "--out", data)
+    run("gen", "--kind", "swiss-roll", "--n", 12, "--noise-sd", "0.05", "--seed", 4,
+        "--out", query)
+    run("gen", "--kind", "degenerate-components", "--n", 24, "--seed", 5, "--out", lib)
+    run("embed", "--input", data, "--response", "response", "--t", 2,
+        "--out", tmp_path / "e.csv", "--save-model", tmp_path / "e.npz")
+    run("extend", "--model", tmp_path / "e.npz", "--input", query, "--response", "response",
+        "--t", 3, "--out", tmp_path / "x.csv")
+    run("regress", "--input", data, "--response", "response", "--folds", 4, "--seed", 2,
+        "--out-model", tmp_path / "m.npz", "--out-predictions", tmp_path / "fit.csv")
+    run("prototype", "--input", lib, "--k", 4, "--seed", 2, "--out-prefix", tmp_path / "p")
+
+    roll = synthetic.generate(synthetic.GeneratorSpec(
+        kind="swiss-roll", n=40, noise_sd=0.05, seed=3))
+    np.testing.assert_array_equal(
+        _csv_block(data)[1], np.column_stack([roll.points, roll.response]))
+    library = synthetic.generate(synthetic.GeneratorSpec(
+        kind="degenerate-components", n=24, seed=5))
+    np.testing.assert_array_equal(_csv_block(lib)[1], np.column_stack(
+        [library.ages, library.metallicities, library.spectra]))
+
+    train = load_dataset(data, response_column="response", id_column="id")
+    _, decomposition, _, extension = full_pipeline(train)
+    r = decomposition.eigenvalues.size
+    np.testing.assert_array_equal(_csv_block(tmp_path / "e.csv")[1],
+                                  embed(decomposition, 2, r).coords)
+    points, _, _ = read_table(query, response_column="response", id_column="id")
+    np.testing.assert_array_equal(_csv_block(tmp_path / "x.csv")[1],
+                                  extend_embedding(extension, points, 3, r))
+    model = fit(train, embed(decomposition, 1, r), extension, folds=4, seed=2)
+    np.testing.assert_array_equal(_csv_block(tmp_path / "fit.csv")[1][:, 0],
+                                  fitted_values(model))
+
+    proto = diffusion_kmeans(load_component_library(lib), 4, seed=2)
+    np.testing.assert_array_equal(_csv_block(tmp_path / "p.prototypes.csv")[1], np.column_stack(
+        [proto.log_ages, proto.log_metallicities, proto.prototypes]))
+    keys, coords = _csv_block(tmp_path / "p.assignments.csv", keys=2)
+    assert [int(label) for _, label in keys] == proto.member_assignments.tolist()
+    np.testing.assert_array_equal(coords, proto.member_coords_diffusion)
+    np.testing.assert_array_equal(_csv_block(tmp_path / "p.centroids.csv")[1],
+                                  proto.centroids_diffusion)
+    sidecar = json.loads((tmp_path / "p.meta.json").read_text())
+    assert sidecar["config"]["epsilon"] == proto.epsilon  # the number, not "auto"
+
+
+def test_ids_with_commas_and_quotes_survive_embed(tmp_path):
+    ids = [f'star {i}, "field" {i}' for i in range(8)]
+    points = np.random.default_rng(1).normal(size=(8, 2))
+    data = tmp_path / "d.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "x0", "x1"])
+        writer.writerows([name, *row] for name, row in zip(ids, points.tolist()))
+    out = tmp_path / "coords.csv"
+    assert main(["embed", "--input", str(data), "--r", "2", "--out", str(out)]) == 0
+    assert [key for key, in _csv_block(out)[0]] == ids
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["regress", "--input", "{d}", "--response", "response", "--seed", "-1"],
+     "seed must be nonnegative"),
+    (["prototype", "--input", "{lib}", "--k", "3", "--seed", "-1"], "seed must be nonnegative"),
+    (["bench-quantization", "--input", "{lib}", "--k", "3", "--trials", "1", "--seed", "-2"],
+     "seed must be nonnegative"),
+    (["embed", "--input", "{d}", "--response", "response", "--epsilon", "inf"],
+     "epsilon must be a positive finite real"),
+], ids=["regress-seed", "prototype-seed", "bench-quantization-seed", "embed-epsilon-inf"])
+def test_negative_seed_or_infinite_epsilon_exits_1(tmp_path, capsys, argv, message):
+    paths = {"d": _gen(tmp_path), "lib": tmp_path / "lib.csv"}
+    assert main(["gen", "--kind", "degenerate-components", "--n", "20", "--seed", "7",
+                 "--out", str(paths["lib"])]) == 0
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_removed_flags_are_unknown(tmp_path, capsys):

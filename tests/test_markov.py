@@ -59,6 +59,13 @@ def test_nonpositive_epsilon_rejected():
         build_transition(np.zeros((2, 2)), epsilon=0.0)
 
 
+@pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+def test_nonfinite_epsilon_rejected(epsilon):
+    # at eps = inf every kernel entry would be exactly 1 and the spectrum degenerate
+    with pytest.raises(ValidationError, match="epsilon must be a positive finite real"):
+        build_transition(np.zeros((2, 2)), epsilon=epsilon)
+
+
 def test_entry_underflow_raises_with_row():
     dmat = _dmat_from_points([[0.0], [1.0], [100.0]])
     with pytest.raises(NumericalError, match="row 0"):

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from sca import kernels
 from sca.errors import ValidationError
+from sca.markov import default_epsilon
 from sca.prototypes import (
     ComponentLibrary,
     PrototypeSet,
@@ -117,6 +119,19 @@ def test_kmeans_k_too_large_rejected():
     lib = _families_library(n=10)
     with pytest.raises(ValidationError, match="k must lie"):
         diffusion_kmeans(lib, 11, seed=0)
+
+
+def test_kmeans_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="seed must be nonnegative"):
+        diffusion_kmeans(_families_library(n=10), 2, seed=-1)
+
+
+def test_kmeans_records_its_bandwidth():
+    lib = _families_library(n=10)
+    assert diffusion_kmeans(lib, 2, seed=0, epsilon=5.0).epsilon == 5.0
+    dmat = kernels.pairwise_sq_dists(lib.spectra)
+    assert diffusion_kmeans(lib, 2, seed=0).epsilon == default_epsilon(dmat)
+    assert grid_prototypes(lib, 2).epsilon is None
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

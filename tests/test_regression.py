@@ -171,6 +171,13 @@ def test_folds_out_of_range():
         fit(labeled, emb, ext, folds=13, seed=0)
 
 
+def test_negative_seed_rejected():
+    data, dec, emb, ext = _healthy_setup(12, 2, 10)
+    labeled = _with_response(data, data.points[:, 0])
+    with pytest.raises(ValidationError, match="seed must be nonnegative"):
+        fit(labeled, emb, ext, folds=4, seed=-1)
+
+
 def test_mismatched_embedding_and_extension_rejected():
     data_a, _, emb_a, _ = _healthy_setup(12, 2, 11)
     data_b, _, _, ext_b = _healthy_setup(12, 2, 12)
