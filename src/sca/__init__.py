@@ -9,6 +9,7 @@ from .markov import (
     build_transition,
     default_epsilon,
     stationary_distribution,
+    transition_from_points,
 )
 from .nystrom import (
     ExtensionModel,
@@ -77,4 +78,5 @@ __all__ = [
     "quantization_benchmark",
     "risk_curve",
     "stationary_distribution",
+    "transition_from_points",
 ]

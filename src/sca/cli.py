@@ -23,7 +23,7 @@ import numpy as np
 from . import synthetic
 from .dataset import Dissimilarity, load_dataset, pairwise_dissimilarity, parse_table, read_table
 from .errors import NumericalError, ValidationError
-from .markov import build_transition
+from .markov import _gaussian_chain, transition_from_points
 from .nystrom import ExtensionModel, build_extension, extend_embedding
 from .prototypes import (
     PrototypeSet,
@@ -126,7 +126,7 @@ def _parse_diss(text: str):
 
 
 def _resolve_epsilon(eps_text: str):
-    """'auto' -> None (``build_transition`` applies its default rule), else a float."""
+    """'auto' -> None (the chain is built at ``default_epsilon``), else a float."""
     if eps_text == "auto":
         return None
     try:
@@ -137,8 +137,16 @@ def _resolve_epsilon(eps_text: str):
 
 def _embedding_pipeline(args, data, t: int):
     diss = _parse_diss(args.diss)
-    dmat = pairwise_dissimilarity(data, diss)
-    transition = build_transition(dmat, _resolve_epsilon(args.epsilon), diss_kind=diss.kind)
+    if diss.kind == "table":
+        # the validated table is the buffer _parse_diss read for this run
+        # alone, so W is built in it, as transition_from_points builds W
+        # in the D it computes
+        dmat = pairwise_dissimilarity(data, diss)
+        dmat.setflags(write=True)
+        transition = _gaussian_chain(dmat, _resolve_epsilon(args.epsilon), "table", out=dmat)
+    else:
+        transition = transition_from_points(data.points, diss.kind,
+                                            _resolve_epsilon(args.epsilon))
     decomposition = decompose(transition, args.r)
     embedding = embed(decomposition, t, decomposition.eigenvalues.size)
     return transition, decomposition, embedding

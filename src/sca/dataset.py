@@ -139,10 +139,23 @@ def pairwise_dissimilarity(data: DataSet, diss: Dissimilarity) -> np.ndarray:
                 f"table shape {diss.table.shape} does not match n={data.n}"
             )
         return diss.table
-    sq = kernels.pairwise_sq_dists(data.points)
-    if diss.kind == "euclidean":
-        return np.sqrt(sq)
-    return sq
+    return _point_dissimilarity(data.points, diss.kind)
+
+
+def _point_dissimilarity(points, kind: str = "sqeuclidean") -> np.ndarray:
+    """The sqeuclidean or euclidean matrix of ``points``, in one fresh
+    writable buffer that the caller owns."""
+    if kind not in ("sqeuclidean", "euclidean"):
+        raise ValidationError(
+            f"kind {kind!r} is not computed from points; expected sqeuclidean or euclidean"
+        )
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValidationError("points must be a 2-D matrix")
+    dmat = kernels.pairwise_sq_dists(pts)
+    if kind == "euclidean":
+        np.sqrt(dmat, out=dmat)
+    return dmat
 
 
 @dataclass(frozen=True)

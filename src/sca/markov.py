@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import frozen_array, validate_dissimilarity
+from .dataset import _point_dissimilarity, frozen_array, validate_dissimilarity
 from .errors import NumericalError, ValidationError
 
 
@@ -58,9 +58,28 @@ def build_transition(dmat: np.ndarray, epsilon: Optional[float] = None,
     that a NaN in D is reported as non-finite.
     Any kernel entry that underflows to zero breaks the
     strictly-positive-chain invariant and raises NumericalError naming
-    the offending row.
+    the offending row.  D itself is never written.
     """
-    dmat = validate_dissimilarity(dmat)
+    return _gaussian_chain(validate_dissimilarity(dmat), epsilon, diss_kind)
+
+
+def transition_from_points(points: np.ndarray, diss_kind: str = "sqeuclidean",
+                           epsilon: Optional[float] = None) -> TransitionMatrix:
+    """``build_transition`` on the ``diss_kind`` dissimilarities of ``points``.
+
+    D is computed into a buffer this function owns and exponentiated in
+    place into W, so beside W only the triangle ``default_epsilon`` takes
+    is ever held (1.5 n x n at the peak).  The chain is bitwise the one
+    ``build_transition`` builds on ``pairwise_dissimilarity`` of the same
+    points and kind.
+    """
+    dmat = validate_dissimilarity(_point_dissimilarity(points, diss_kind))
+    return _gaussian_chain(dmat, epsilon, diss_kind, out=dmat)
+
+
+def _gaussian_chain(dmat: np.ndarray, epsilon: Optional[float], diss_kind: str,
+                    out: Optional[np.ndarray] = None) -> TransitionMatrix:
+    """The chain of a validated D; W is written to ``out``, or to a new buffer."""
     if dmat.shape[0] < 2:
         raise ValidationError("need at least 2 observations")
     if epsilon is None:
@@ -68,7 +87,7 @@ def build_transition(dmat: np.ndarray, epsilon: Optional[float] = None,
     elif not 0 < epsilon < np.inf:
         raise ValidationError(f"epsilon must be a positive finite real, got {epsilon}")
     # one n x n buffer: exp(-D/eps) computed in place, then frozen as it is
-    weights = np.divide(dmat, -epsilon)
+    weights = np.divide(dmat, -epsilon, out=out)
     np.exp(weights, out=weights)
     if not weights.all():
         i, j = np.argwhere(weights == 0.0)[0]

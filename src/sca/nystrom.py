@@ -20,6 +20,10 @@ from .spectral import SpectralDecomposition, _check_pair_index, _check_time
 
 EIGENVALUE_FLOOR = 1e-12
 
+# query rows per block in ``extend_eigenfunctions``: about 256k kernel
+# entries (2 MiB of float64) per block
+QUERY_BLOCK_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class ExtensionModel:
@@ -60,8 +64,7 @@ def build_extension(data: DataSet, transition: TransitionMatrix,
     )
 
 
-def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
-    """Convex kernel weights A(x, .) over training points, one row per query."""
+def _check_queries(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
     q = np.asarray(new_points, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != model.d:
         raise ValidationError(
@@ -69,10 +72,13 @@ def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(q).all():
         raise ValidationError("query points contain non-finite entries")
-    if q.shape[0] == 0:
-        return np.empty((0, model.n))
-    # one m x n buffer throughout; dividing by -epsilon equals negating
-    # and then dividing, bit for bit
+    return q
+
+
+def _convex_weights(model: ExtensionModel, q: np.ndarray, first: int = 0) -> np.ndarray:
+    """Kernel weights of checked queries ``q``, whose row 0 is query ``first``."""
+    # one buffer throughout; dividing by -epsilon equals negating and
+    # then dividing, bit for bit
     weights = kernels.cross_sq_dists(q, model.points)
     if model.diss_kind == "euclidean":
         np.sqrt(weights, out=weights)
@@ -80,7 +86,7 @@ def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
     np.exp(weights, out=weights)
     sums = weights.sum(axis=1)
     if not (sums > 0).all():
-        k = int(np.argmin(sums > 0))
+        k = first + int(np.argmin(sums > 0))
         raise NumericalError(
             f"kernel row for query point {k} underflowed to zero; "
             "the point is too far from the training data at this epsilon"
@@ -89,9 +95,18 @@ def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
     return weights
 
 
+def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
+    """Convex kernel weights A(x, .) over training points, one row per query."""
+    return _convex_weights(model, _check_queries(model, new_points))
+
+
 def extend_eigenfunctions(model: ExtensionModel, new_points: np.ndarray,
                           r: int) -> np.ndarray:
-    """Nystrom estimates at m new points: row k is (psi_hat_j(x_k))_{j=1..r}."""
+    """Nystrom estimates at m new points: row k is (psi_hat_j(x_k))_{j=1..r}.
+
+    The queries are weighted in row blocks of about ``QUERY_BLOCK_ENTRIES``
+    kernel entries, so the m x n weight matrix is never held whole.
+    """
     r = _check_pair_index(r, model.decomposition, "number of eigenfunctions r")
     lams = model.decomposition.eigenvalues[:r]
     small = np.flatnonzero(np.abs(lams) < EIGENVALUE_FLOOR)
@@ -100,10 +115,15 @@ def extend_eigenfunctions(model: ExtensionModel, new_points: np.ndarray,
         raise NumericalError(
             f"eigenvalue {j + 1} has magnitude {abs(lams[j]):.3e} below the "
             f"{EIGENVALUE_FLOOR} floor; its extension is undefined")
-    weights = kernel_weights(model, new_points)
+    q = _check_queries(model, new_points)
     # contiguous: bitwise equal for a model storing only r pairs, and faster
     psi = np.ascontiguousarray(model.decomposition.eigenvectors[:, :r])
-    return (weights @ psi) / lams[None, :]
+    out = np.empty((q.shape[0], r))
+    step = max(1, QUERY_BLOCK_ENTRIES // model.n)
+    for lo in range(0, q.shape[0], step):
+        np.matmul(_convex_weights(model, q[lo:lo + step], lo), psi, out=out[lo:lo + step])
+    out /= lams[None, :]
+    return out
 
 
 def extend_eigenfunction(model: ExtensionModel, x: np.ndarray, j: int) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from . import kernels
 from .dataset import frozen_array, parse_table
 from .errors import NumericalError, ValidationError
-from .markov import build_transition
+from .markov import transition_from_points
 from .spectral import decompose, embed
 
 KKT_TOL = 1e-8
@@ -173,8 +173,7 @@ def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
     log_age = np.log(lib.ages[order])
     log_met = np.log(lib.metallicities[order])
 
-    dmat = kernels.pairwise_sq_dists(spectra)
-    transition = build_transition(dmat, epsilon)
+    transition = transition_from_points(spectra, epsilon=epsilon)
     decomposition = decompose(transition, r)
     coords = np.ascontiguousarray(
         embed(decomposition, t, decomposition.eigenvalues.size).coords)
@@ -469,8 +468,8 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
     """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
-    if noise_sd < 0:
-        raise ValidationError(f"noise_sd must be nonnegative, got {noise_sd}")
+    if not 0 <= noise_sd < np.inf:
+        raise ValidationError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
     protos = {
         "diffusion": diffusion_kmeans(lib, k, t=t, r=r, seed=seed),
         "grid": grid_prototypes(lib, k),

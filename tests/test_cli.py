@@ -373,6 +373,24 @@ def test_bench_quantization_report(tmp_path):
     assert report["kmeans_wcss"]
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_bench_quantization_non_finite_noise_exits_1(tmp_path, capsys, monkeypatch, noise):
+    lib = tmp_path / "lib.csv"
+    assert main(["gen", "--kind", "degenerate-components", "--n", "20",
+                 "--seed", "7", "--out", str(lib)]) == 0
+    capsys.readouterr()
+
+    def no_kmeans(*args, **kwargs):
+        raise AssertionError("diffusion K-means ran before noise_sd was checked")
+    monkeypatch.setattr(sca.prototypes, "diffusion_kmeans", no_kmeans)
+    assert main(["bench-quantization", "--input", str(lib), "--k", "3", "--trials", "1",
+                 "--noise", noise, "--seed", "1", "--out", str(tmp_path / "b.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"noise_sd must be finite and nonnegative, got {noise}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "b.json").exists()
+
+
 @pytest.mark.parametrize("subcommand", ["prototype", "bench-quantization"])
 def test_library_ref_index_out_of_range_exits_1(tmp_path, capsys, subcommand):
     lib = tmp_path / "lib.csv"

@@ -1,8 +1,8 @@
-"""Memory budget of the dense training stages.
+"""Memory budget of the dense training stages and of answering queries.
 
 tracemalloc sees numpy's data buffers, so the peak a stage reaches above
-its starting point, in units of one n x n float64 matrix, counts the
-dense buffers it holds at once (its result included).
+its starting point, in units of one n x n float64 matrix (m x n for
+queries), counts the dense buffers it holds at once (its result included).
 """
 
 import tracemalloc
@@ -12,8 +12,11 @@ import pytest
 
 from sca import cli, spectral
 from sca.dataset import DataSet, Dissimilarity, load_dataset, pairwise_dissimilarity
-from sca.markov import build_transition, default_epsilon
+from sca.markov import build_transition, default_epsilon, transition_from_points
+from sca.regression import fit, predict
 from sca.synthetic import GeneratorSpec, generate
+
+from _util import full_pipeline
 
 N = 2000
 # size of the --diss table: runs
@@ -21,9 +24,13 @@ N_TABLE = 1000
 
 
 @pytest.fixture(scope="module")
-def dmat():
+def data():
     points = generate(GeneratorSpec(kind="swiss-roll", n=N, noise_sd=0.05, seed=1)).points
-    data = DataSet(points=points, ids=tuple(map(str, range(N))))
+    return DataSet(points=points, ids=tuple(map(str, range(N))))
+
+
+@pytest.fixture(scope="module")
+def dmat(data):
     return pairwise_dissimilarity(data, Dissimilarity())
 
 
@@ -39,7 +46,7 @@ def table_files(tmp_path_factory):
     return base, data, table
 
 
-def _peak_in_matrices(fn, *args, n=N):
+def _peak_in_matrices(fn, *args, n=N, m=None):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -47,7 +54,7 @@ def _peak_in_matrices(fn, *args, n=N):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, (peak - start) / (n * n * 8)
+    return result, (peak - start) / ((n if m is None else m) * n * 8)
 
 
 def test_default_epsilon_holds_half_a_matrix(dmat):
@@ -61,6 +68,33 @@ def test_build_transition_holds_one_matrix(dmat):
     transition, peak = _peak_in_matrices(build_transition, dmat, default_epsilon(dmat))
     assert transition.n == N
     assert peak <= 1.1, peak
+
+
+@pytest.mark.parametrize("diss_kind", ["sqeuclidean", "euclidean"])
+def test_transition_from_points_builds_the_kernel_in_the_distances(data, diss_kind):
+    # D computed into one buffer and exponentiated there, with the
+    # default_epsilon triangle beside it
+    transition, peak = _peak_in_matrices(transition_from_points, data.points, diss_kind)
+    assert peak <= 1.6, peak
+    held = build_transition(pairwise_dissimilarity(data, Dissimilarity(kind=diss_kind)),
+                            diss_kind=diss_kind)
+    np.testing.assert_array_equal(transition.kernel, held.kernel)
+    np.testing.assert_array_equal(transition.kernel_row_sums, held.kernel_row_sums)
+    assert transition.epsilon == held.epsilon and transition.diss_kind == diss_kind
+
+
+def test_predict_answers_queries_in_blocks():
+    # one block of kernel weights at a time, never the m x n matrix
+    n, m = 1000, 20000
+    rng = np.random.default_rng(5)
+    train = DataSet(points=rng.normal(size=(n, 3)), ids=tuple(map(str, range(n))),
+                    response=rng.normal(size=n))
+    _, _, embedding, extension = full_pipeline(train, r=10)
+    model = fit(train, embedding, extension)
+    queries = rng.normal(size=(m, 3))
+    preds, peak = _peak_in_matrices(predict, model, queries, n=n, m=m)
+    assert preds.shape == (m,)
+    assert peak <= 0.15, peak
 
 
 def test_krylov_decompose_never_forms_the_conjugate(dmat, monkeypatch):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sca import kernels
+from sca import kernels, nystrom
 from sca.dataset import DataSet
 from sca.errors import NumericalError, ValidationError
 from sca.markov import build_transition
@@ -13,6 +13,7 @@ from sca.nystrom import (
     ExtensionModel,
     build_extension,
     extend_eigenfunction,
+    extend_eigenfunctions,
     extend_embedding,
     kernel_weights,
 )
@@ -200,3 +201,55 @@ def test_truncated_decomposition_bounds_r_and_j_by_stored_pairs():
     with pytest.raises(ValidationError, match="stores 3"):
         extend_eigenfunction(short, q[0], 4)
     assert extend_eigenfunction(short, q[0], 3) == extend_eigenfunction(ext, q[0], 3)
+
+
+def _whole_product(ext, q, r):
+    """The extension from the whole m x n weight matrix in one product."""
+    psi = np.ascontiguousarray(ext.decomposition.eigenvectors[:, :r])
+    return (kernel_weights(ext, q) @ psi) / ext.decomposition.eigenvalues[:r]
+
+
+def _blocked_case(diss_kind):
+    """A 40-point model and queries filling 3 blocks and half of a 4th."""
+    data = gaussian_dataset(40, 3, 23)
+    _, dec, _, ext = full_pipeline(data, diss_kind=diss_kind)
+    step = nystrom.QUERY_BLOCK_ENTRIES // ext.n
+    q = np.random.default_rng(24).normal(size=(3 * step + step // 2, 3))
+    return ext, healthy_rank(dec), step, q
+
+
+@pytest.mark.parametrize("diss_kind", ["sqeuclidean", "euclidean"])
+def test_blocked_extension_matches_whole_weight_matrix(diss_kind):
+    ext, r, _, q = _blocked_case(diss_kind)
+    expected = _whole_product(ext, q, r)
+    got = extend_eigenfunctions(ext, q, r)
+    # bitwise equal with OpenBLAS on x86-64; another BLAS may round a
+    # block's rows unlike the whole product's, so 1e-12 is what is asserted
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_underflow_in_a_later_block_names_the_global_row():
+    ext, r, step, q = _blocked_case("sqeuclidean")
+    far = 2 * step + 5
+    q[far] = 1e4
+    with pytest.raises(NumericalError, match=f"query point {far} underflowed"):
+        extend_eigenfunctions(ext, q, r)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_zero_or_one_query(m):
+    _, _, _, ext = full_pipeline(gaussian_dataset(9, 2, 11))
+    q = np.random.default_rng(25).normal(size=(m, 2))
+    got = extend_eigenfunctions(ext, q, 3)
+    assert got.shape == (m, 3)
+    np.testing.assert_array_equal(got, _whole_product(ext, q, 3))
+
+
+@pytest.mark.parametrize("query", [np.array([[np.nan]]), np.zeros((1, 2))],
+                         ids=["non-finite", "wrong-dimension"])
+def test_eigenvalue_floor_is_checked_before_the_queries(query):
+    data = DataSet(points=[[0.0], [0.0]], ids=("0", "1"))
+    t = build_transition(np.zeros((2, 2)), epsilon=1.0)
+    ext = build_extension(data, t, decompose(t))
+    with pytest.raises(NumericalError, match="floor"):
+        extend_eigenfunctions(ext, query, 1)
