@@ -14,7 +14,6 @@ from .markov import (
 from .nystrom import (
     ExtensionModel,
     build_extension,
-    extend_eigenfunction,
     extend_eigenfunctions,
     extend_embedding,
 )
@@ -33,8 +32,6 @@ from .spectral import (
     DiffusionEmbedding,
     SpectralDecomposition,
     decompose,
-    diffusion_distance,
-    diffusion_distance_matrix,
     embed,
 )
 from .synthetic import GeneratorSpec, generate
@@ -61,11 +58,8 @@ __all__ = [
     "build_transition",
     "decompose",
     "default_epsilon",
-    "diffusion_distance",
-    "diffusion_distance_matrix",
     "diffusion_kmeans",
     "embed",
-    "extend_eigenfunction",
     "extend_eigenfunctions",
     "extend_embedding",
     "fit",

@@ -164,7 +164,7 @@ def _cmd_gen(args) -> int:
     spec = synthetic.GeneratorSpec(
         kind=args.kind, n=args.n, noise_sd=args.noise_sd, seed=args.seed,
         n_families=args.n_families, n_bins=args.bins,
-        separation=args.separation, height=args.height, length=args.length,
+        separation=args.separation,
     )
     result = synthetic.generate(spec)
     if args.kind in synthetic.DATASET_KINDS:
@@ -478,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n-families", type=int, default=3)
     gen.add_argument("--bins", type=int, default=40)
     gen.add_argument("--separation", type=float, default=0.05)
-    gen.add_argument("--height", type=float, default=10.0)
-    gen.add_argument("--length", type=float, default=1.0)
     gen.set_defaults(func=_cmd_gen)
 
     emb = subs.add_parser("embed", help="diffusion-map a dataset")

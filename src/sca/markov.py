@@ -71,9 +71,15 @@ def transition_from_points(points: np.ndarray, diss_kind: str = "sqeuclidean",
     place into W, so beside W only the triangle ``default_epsilon`` takes
     is ever held (1.5 n x n at the peak).  The chain is bitwise the one
     ``build_transition`` builds on ``pairwise_dissimilarity`` of the same
-    points and kind.
+    points and kind.  D is symmetric, non-negative and zero on the
+    diagonal by ``kernels``' construction, so only its finiteness is
+    checked: finite coordinates far enough apart overflow, and that is
+    reported here rather than as a floating-point warning.
     """
-    dmat = validate_dissimilarity(_point_dissimilarity(points, diss_kind))
+    with np.errstate(over="ignore"):
+        dmat = _point_dissimilarity(points, diss_kind)
+    if not np.isfinite(dmat).all():
+        raise ValidationError("dissimilarity matrix has non-finite entries")
     return _gaussian_chain(dmat, epsilon, diss_kind, out=dmat)
 
 
@@ -130,27 +136,11 @@ def default_epsilon(dmat: np.ndarray) -> float:
     return med
 
 
-def stationary_distribution(transition: TransitionMatrix, method: str = "closed-form",
-                            max_iter: int = 10000, tol: float = 1e-13) -> StationaryDistribution:
+def stationary_distribution(transition: TransitionMatrix) -> StationaryDistribution:
     """Dominant left eigenvector of A, normalized to a probability vector.
 
-    The closed form exploits detailed balance of the symmetric Gaussian
-    kernel: phi0 is proportional to the kernel row sums.  ``method="power"``
-    runs left power iteration instead and is kept as a cross-check path.
+    Detailed balance of the symmetric Gaussian kernel gives it in closed
+    form: phi0 is proportional to the kernel row sums.
     """
-    if method == "closed-form":
-        s = transition.kernel_row_sums
-        return StationaryDistribution(probabilities=s / s.sum())
-    if method != "power":
-        raise ValidationError(f"unknown method {method!r}")
-    a = transition.matrix
-    v = np.full(transition.n, 1.0 / transition.n)
-    for _ in range(max_iter):
-        nxt = v @ a
-        nxt = nxt / nxt.sum()
-        if np.max(np.abs(nxt - v)) <= tol:
-            return StationaryDistribution(probabilities=nxt)
-        v = nxt
-    raise NumericalError(
-        f"power iteration did not converge within {max_iter} iterations"
-    )
+    s = transition.kernel_row_sums
+    return StationaryDistribution(probabilities=s / s.sum())

@@ -126,13 +126,6 @@ def extend_eigenfunctions(model: ExtensionModel, new_points: np.ndarray,
     return out
 
 
-def extend_eigenfunction(model: ExtensionModel, x: np.ndarray, j: int) -> float:
-    """Kernel-smoothed estimate of eigenfunction j (1-based, nontrivial) at x."""
-    j = _check_pair_index(j, model.decomposition, "eigenfunction index j")
-    point = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(extend_eigenfunctions(model, point, j)[0, j - 1])
-
-
 def extend_embedding(model: ExtensionModel, new_points: np.ndarray,
                      t: int, r: int) -> np.ndarray:
     """Diffusion coordinates for m new points: row k is (lambda_j^t psi_hat_j(x_k))_j."""

@@ -142,11 +142,3 @@ def fitted_values(model: EigenbasisRegression) -> np.ndarray:
     psi = model.extension.decomposition.eigenvectors[:, :model.p]
     return model.intercept + psi @ model.coefficients
 
-
-def pca_scores(points: np.ndarray, r=None) -> np.ndarray:
-    """Centered principal-component scores, the linear baseline basis."""
-    pts = np.asarray(points, dtype=np.float64)
-    centered = pts - pts.mean(axis=0)
-    u, s, _ = np.linalg.svd(centered, full_matrices=False)
-    scores = u * s
-    return scores if r is None else scores[:, :r]

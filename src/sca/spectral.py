@@ -1,5 +1,4 @@
-"""Eigendecomposition of the transition matrix, diffusion coordinates, and
-the brute-force diffusion-distance oracle."""
+"""Eigendecomposition of the transition matrix and diffusion coordinates."""
 
 from dataclasses import dataclass
 
@@ -7,7 +6,7 @@ import numpy as np
 
 from .dataset import frozen_array
 from .errors import NumericalError, ValidationError
-from .markov import StationaryDistribution, TransitionMatrix, stationary_distribution
+from .markov import TransitionMatrix, stationary_distribution
 
 # Nontrivial pairs ``decompose`` keeps when no r is given.
 DEFAULT_PAIRS = 50
@@ -227,33 +226,3 @@ def embed(decomposition: SpectralDecomposition, t: int, r: int) -> DiffusionEmbe
 def _coords(decomposition: SpectralDecomposition, t: int, r: int) -> np.ndarray:
     return decomposition.eigenvectors[:, :r] * (decomposition.eigenvalues[:r] ** t)[None, :]
 
-
-def diffusion_distance(transition: TransitionMatrix, phi0: StationaryDistribution,
-                       t: int, i: int, j: int) -> float:
-    """Brute-force diffusion distance between observations i and j.
-
-    Computes sqrt( sum_z (A_t(x_i, z) - A_t(x_j, z))^2 / phi0(z) ) with
-    A_t obtained by explicit matrix powering.  This is the oracle route
-    and is never approximated.
-    """
-    t = _check_time(t)
-    n = transition.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValidationError(f"indices ({i}, {j}) out of range for n={n}")
-    a_t = np.linalg.matrix_power(transition.matrix, t)
-    diff = a_t[i] - a_t[j]
-    return float(np.sqrt(np.sum(diff * diff / phi0.probabilities)))
-
-
-def diffusion_distance_matrix(transition: TransitionMatrix, phi0: StationaryDistribution,
-                              t: int) -> np.ndarray:
-    """All-pairs version of :func:`diffusion_distance` (same matrix powering)."""
-    t = _check_time(t)
-    a_t = np.linalg.matrix_power(transition.matrix, t)
-    scaled = a_t / np.sqrt(phi0.probabilities)[None, :]
-    n = transition.n
-    out = np.zeros((n, n))
-    for i in range(n - 1):
-        diff = scaled[i + 1:] - scaled[i]
-        out[i, i + 1:] = np.sqrt(np.sum(diff * diff, axis=1))
-    return out + out.T

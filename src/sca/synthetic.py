@@ -20,6 +20,9 @@ KINDS = ("swiss-roll", "noisy-circle", "line-chain",
 DATASET_KINDS = ("swiss-roll", "noisy-circle", "line-chain")
 LIBRARY_KINDS = ("component-families", "degenerate-components")
 
+SWISS_ROLL_HEIGHT = 10.0   # swiss-roll width
+LINE_CHAIN_LENGTH = 1.0    # line-chain extent
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -31,24 +34,23 @@ class GeneratorSpec:
     n_families: int = 3        # component-families
     n_bins: int = 40           # library curve resolution
     separation: float = 0.05   # degenerate-components family offset
-    height: float = 10.0       # swiss-roll width
-    length: float = 1.0        # line-chain extent
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown generator kind {self.kind!r}; expected {KINDS}")
         if self.n < 2:
             raise ValidationError(f"n must be >= 2, got {self.n}")
-        if self.noise_sd < 0:
-            raise ValidationError("noise_sd must be nonnegative")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValidationError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
         if self.kind == "component-families" and not 1 <= self.n_families <= self.n:
             raise ValidationError("n_families must lie in [1, n]")
         if self.kind in LIBRARY_KINDS and self.n_bins < 8:
             raise ValidationError("n_bins must be >= 8")
-        if self.separation < 0:
-            raise ValidationError("separation must be nonnegative")
+        if not 0 <= self.separation < np.inf:
+            raise ValidationError(
+                f"separation must be finite and nonnegative, got {self.separation}")
 
 
 def _point_rng(seed: int, index: int) -> np.random.Generator:
@@ -66,7 +68,7 @@ def _swiss_roll(spec: GeneratorSpec) -> DataSet:
         theta = 1.5 * math.pi * (1.0 + 2.0 * u)
         points[i] = (
             theta * math.cos(theta),
-            spec.height * v,
+            SWISS_ROLL_HEIGHT * v,
             theta * math.sin(theta),
         )
         points[i] += spec.noise_sd * noise
@@ -96,7 +98,7 @@ def _line_chain(spec: GeneratorSpec) -> DataSet:
     for i in range(spec.n):
         rng = _point_rng(spec.seed, i)
         noise = rng.normal(size=1)
-        position = spec.length * i / (spec.n - 1)
+        position = LINE_CHAIN_LENGTH * i / (spec.n - 1)
         points[i, 0] = position + spec.noise_sd * noise[0]
         response[i] = position
     return DataSet(points=points, ids=tuple(str(i) for i in range(spec.n)),

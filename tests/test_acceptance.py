@@ -17,9 +17,11 @@ from sca.dataset import DataSet, Dissimilarity, pairwise_dissimilarity
 from sca.markov import build_transition, default_epsilon, stationary_distribution
 from sca.nystrom import build_extension, kernel_weights
 from sca.prototypes import PrototypeSet, fit_mixture, quantization_benchmark
-from sca.regression import basis_risk_curve, fit, fitted_values, pca_scores, _refit
-from sca.spectral import decompose, diffusion_distance_matrix, embed
+from sca.regression import basis_risk_curve, fit, fitted_values, _refit
+from sca.spectral import decompose, embed
 from sca.synthetic import GeneratorSpec, generate
+
+from _oracles import diffusion_distance_matrix, pca_scores, power_stationary
 
 # criterion 1's seeded dataset family, reused by criteria 2 and 3
 FAMILY = [
@@ -90,7 +92,7 @@ def test_criterion_2_markov_structure():
         worst_lam = max(worst_lam, float(np.abs(decomposition.eigenvalues).max()))
         phi0 = stationary_distribution(transition).probabilities
         worst_phi = max(worst_phi, float(np.abs(phi0 @ a - phi0).max()))
-        power = stationary_distribution(transition, method="power").probabilities
+        power = power_stationary(transition).probabilities
         worst_closed = max(worst_closed, float(np.abs(power / phi0 - 1.0).max()))
     ok = (worst_row <= 1e-12 and worst_const <= 1e-12 and
           worst_lam <= 1.0 + 1e-12 and worst_phi <= 1e-10 and worst_closed <= 1e-10)

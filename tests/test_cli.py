@@ -258,9 +258,40 @@ def test_removed_flags_are_unknown(tmp_path, capsys):
                  ["prototype", "--input", "lib.csv", "--k", "2", "--seed", "1",
                   "--epsilon-value", "5"],
                  ["fit-mixture", "--prototypes", "p.csv", "--input", "o.csv",
-                  "--noise-sd", "1"]):
+                  "--noise-sd", "1"],
+                 ["gen", "--kind", "swiss-roll", "--n", "10", "--seed", "1",
+                  "--out", "g.csv", "--height", "4"],
+                 ["gen", "--kind", "line-chain", "--n", "10", "--seed", "1",
+                  "--out", "g.csv", "--length", "2"]):
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, flag", [("swiss-roll", "--noise-sd"),
+                                        ("degenerate-components", "--noise-sd"),
+                                        ("degenerate-components", "--separation")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_non_finite_shape_parameter_exits_1(tmp_path, capsys, kind, flag, value):
+    out = tmp_path / "g.csv"
+    assert main(["gen", "--kind", kind, "--n", "10", "--seed", "1", "--out", str(out),
+                 flag, value]) == 1
+    err = capsys.readouterr().err
+    field = flag[2:].replace("-", "_")
+    assert err.startswith(f"error: {field} must be finite and nonnegative, got {value}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("diss", ["sqeuclidean", "euclidean"])
+def test_embed_overflowing_distances_exit_1(tmp_path, capsys, diss):
+    # finite coordinates, so the table loads; their distances overflow
+    data = tmp_path / "far.csv"
+    data.write_text("x0,x1\n1e200,0\n-1e200,1\n0,2\n5,3\n")
+    out = tmp_path / "e.csv"
+    assert main(["embed", "--input", str(data), "--diss", diss, "--r", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dissimilarity matrix has non-finite entries")
+    assert not out.exists()
 
 
 def test_disconnected_graph_exits_2(tmp_path, capsys):

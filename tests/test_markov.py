@@ -10,8 +10,10 @@ from sca.markov import (
     build_transition,
     default_epsilon,
     stationary_distribution,
+    transition_from_points,
 )
 
+from _oracles import power_stationary
 from _util import gaussian_dataset, pipeline
 
 
@@ -104,6 +106,16 @@ def test_non_finite_matrix_named_before_the_bandwidth_rule(n):
     dmat[0, n - 1] = dmat[n - 1, 0] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         build_transition(dmat)
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is reported as an error, not a warning
+@pytest.mark.parametrize("diss_kind", ["sqeuclidean", "euclidean"])
+def test_overflowing_distances_of_finite_points_rejected(diss_kind):
+    # every coordinate is finite, but (1e200 - (-1e200))^2 overflows
+    points = np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0], [5.0, 3.0]])
+    assert np.isfinite(points).all()
+    with pytest.raises(ValidationError, match="dissimilarity matrix has non-finite entries"):
+        transition_from_points(points, diss_kind)
 
 
 def test_uniform_limit_as_epsilon_grows():
@@ -205,8 +217,8 @@ def test_stationary_matches_matrix_power_oracle():
 def test_power_iteration_matches_closed_form():
     data = gaussian_dataset(16, 3, 6)
     _, t, _ = pipeline(data)
-    closed = stationary_distribution(t, method="closed-form").probabilities
-    power = stationary_distribution(t, method="power").probabilities
+    closed = stationary_distribution(t).probabilities
+    power = power_stationary(t).probabilities
     assert np.abs(power / closed - 1.0).max() <= 1e-10
 
 
@@ -220,4 +232,4 @@ def test_power_iteration_budget_error():
     data = gaussian_dataset(12, 2, 11)
     _, t, _ = pipeline(data)
     with pytest.raises(NumericalError, match="converge"):
-        stationary_distribution(t, method="power", max_iter=1, tol=1e-16)
+        power_stationary(t, max_iter=1, tol=1e-16)

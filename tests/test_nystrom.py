@@ -12,7 +12,6 @@ from sca.markov import build_transition
 from sca.nystrom import (
     ExtensionModel,
     build_extension,
-    extend_eigenfunction,
     extend_eigenfunctions,
     extend_embedding,
     kernel_weights,
@@ -45,7 +44,7 @@ def test_training_point_reproduces_eigenvector():
     r = healthy_rank(dec)
     assert r >= 1
     for j in range(1, r + 1):
-        value = extend_eigenfunction(ext, data.points[5], j)
+        value = extend_eigenfunctions(ext, data.points[5][None, :], j)[0, j - 1]
         assert value == pytest.approx(dec.eigenvectors[5, j - 1], abs=1e-9)
 
 
@@ -57,7 +56,7 @@ def test_zero_eigenvalue_extension_rejected():
     ext = build_extension(data, t, dec)
     assert abs(dec.eigenvalues[0]) < 1e-12
     with pytest.raises(NumericalError, match="floor"):
-        extend_eigenfunction(ext, np.array([0.5]), 1)
+        extend_eigenfunctions(ext, np.array([[0.5]]), 1)
 
 
 def test_midpoint_of_symmetric_configuration_kills_antisymmetric_modes():
@@ -73,7 +72,8 @@ def test_midpoint_of_symmetric_configuration_kills_antisymmetric_modes():
     assert antisymmetric, "expected at least one antisymmetric eigenvector"
     midpoint = np.array([0.5])
     for j in antisymmetric:
-        assert extend_eigenfunction(ext, midpoint, j) == pytest.approx(0.0, abs=1e-9)
+        value = extend_eigenfunctions(ext, midpoint[None, :], j)[0, j - 1]
+        assert value == pytest.approx(0.0, abs=1e-9)
         assert _smoothing_loop_oracle(ext, midpoint, j) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -199,8 +199,8 @@ def test_truncated_decomposition_bounds_r_and_j_by_stored_pairs():
     with pytest.raises(ValidationError, match=r"\[1, 3\] \(the decomposition stores 3"):
         extend_embedding(short, q, 1, 5)
     with pytest.raises(ValidationError, match="stores 3"):
-        extend_eigenfunction(short, q[0], 4)
-    assert extend_eigenfunction(short, q[0], 3) == extend_eigenfunction(ext, q[0], 3)
+        extend_eigenfunctions(short, q[:1], 4)
+    assert extend_eigenfunctions(short, q[:1], 3)[0, 2] == extend_eigenfunctions(ext, q[:1], 3)[0, 2]
 
 
 def _whole_product(ext, q, r):

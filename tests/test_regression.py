@@ -10,7 +10,6 @@ from sca.regression import (
     fit,
     fitted_values,
     kfold_indices,
-    pca_scores,
     predict,
     risk_curve,
     _refit,
@@ -18,6 +17,7 @@ from sca.regression import (
 from sca.spectral import embed
 from sca.synthetic import GeneratorSpec, generate
 
+from _oracles import pca_scores
 from _util import full_pipeline, gaussian_dataset, healthy_rank
 
 

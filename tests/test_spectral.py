@@ -17,12 +17,11 @@ from sca.spectral import (
     DEFAULT_PAIRS,
     SpectralDecomposition,
     decompose,
-    diffusion_distance,
-    diffusion_distance_matrix,
     embed,
 )
 from sca.synthetic import GeneratorSpec, generate
 
+from _oracles import diffusion_distance, diffusion_distance_matrix
 from _util import gaussian_dataset, pipeline
 
 

@@ -35,16 +35,16 @@ def test_swiss_roll_response_is_spiral_arc_length():
 
 
 def test_swiss_roll_shape():
-    data = generate(GeneratorSpec(kind="swiss-roll", n=25, seed=6, height=4.0))
+    data = generate(GeneratorSpec(kind="swiss-roll", n=25, seed=6))
     assert isinstance(data, DataSet)
     assert data.points.shape == (25, 3)
     assert data.points[:, 1].min() >= 0
-    assert data.points[:, 1].max() <= 4.0
+    assert data.points[:, 1].max() <= 10.0
 
 
 def test_line_chain_noiseless_symmetric():
-    data = generate(GeneratorSpec(kind="line-chain", n=5, seed=7, length=2.0))
-    np.testing.assert_allclose(data.points[:, 0], [0.0, 0.5, 1.0, 1.5, 2.0])
+    data = generate(GeneratorSpec(kind="line-chain", n=5, seed=7))
+    np.testing.assert_allclose(data.points[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
     np.testing.assert_allclose(data.response, data.points[:, 0])
 
 
@@ -109,3 +109,10 @@ def test_invalid_specs_rejected():
         GeneratorSpec(kind="component-families", n=10, n_bins=4)
     with pytest.raises(ValidationError, match="n_families"):
         GeneratorSpec(kind="component-families", n=4, n_families=5)
+
+
+@pytest.mark.parametrize("field", ["noise_sd", "separation"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_shape_parameters_rejected(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite and nonnegative"):
+        GeneratorSpec(kind="degenerate-components", n=10, **{field: value})
