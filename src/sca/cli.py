@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import synthetic
-from .dataset import Dissimilarity, load_dataset, pairwise_dissimilarity, parse_table, read_table
+from .dataset import DISS_KINDS, load_dataset, parse_table, read_dissimilarity_table, read_table
 from .errors import NumericalError, ValidationError
 from .markov import _gaussian_chain, transition_from_points
 from .nystrom import ExtensionModel, build_extension, extend_embedding
@@ -107,24 +107,6 @@ def _derived_out(input_path, suffix: str) -> str:
 # shared pipeline steps
 # ---------------------------------------------------------------------------
 
-def _parse_diss(text: str):
-    """'sqeuclidean' | 'euclidean' | 'table:<path>' -> Dissimilarity."""
-    if text in ("sqeuclidean", "euclidean"):
-        return Dissimilarity(kind=text)
-    if text.startswith("table:"):
-        path = text[len("table:"):]
-        try:
-            table = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValidationError(f"malformed dissimilarity table {path}: {exc}") from exc
-        # frozen as read, so Dissimilarity keeps this buffer without a copy
-        table.setflags(write=False)
-        return Dissimilarity(kind="table", table=table)
-    raise ValidationError(
-        f"unknown dissimilarity {text!r}; expected sqeuclidean, euclidean, or table:<path>"
-    )
-
-
 def _resolve_epsilon(eps_text: str):
     """'auto' -> None (the chain is built at ``default_epsilon``), else a float."""
     if eps_text == "auto":
@@ -136,17 +118,14 @@ def _resolve_epsilon(eps_text: str):
 
 
 def _embedding_pipeline(args, data, t: int):
-    diss = _parse_diss(args.diss)
-    if diss.kind == "table":
-        # the validated table is the buffer _parse_diss read for this run
-        # alone, so W is built in it, as transition_from_points builds W
-        # in the D it computes
-        dmat = pairwise_dissimilarity(data, diss)
-        dmat.setflags(write=True)
-        transition = _gaussian_chain(dmat, _resolve_epsilon(args.epsilon), "table", out=dmat)
+    epsilon = _resolve_epsilon(args.epsilon)
+    if args.diss.startswith("table:"):
+        # the table is read into a buffer this run owns, and W is built in
+        # it, as transition_from_points builds W in the D it computes
+        dmat = read_dissimilarity_table(args.diss.removeprefix("table:"), data.n)
+        transition = _gaussian_chain(dmat, epsilon, "table", out=dmat)
     else:
-        transition = transition_from_points(data.points, diss.kind,
-                                            _resolve_epsilon(args.epsilon))
+        transition = transition_from_points(data.points, args.diss, epsilon)
     decomposition = decompose(transition, args.r)
     embedding = embed(decomposition, t, decomposition.eigenvalues.size)
     return transition, decomposition, embedding
@@ -286,6 +265,9 @@ def _read_input(args):
 
 
 def _cmd_embed(args) -> int:
+    if args.save_model and args.diss.startswith("table:"):
+        raise ValidationError(f"--save-model needs a dissimilarity computable at new points; "
+                              f"--diss {args.diss} has no values for unseen points")
     table, id_column = _read_input(args)
     data = load_dataset(table, response_column=args.response, id_column=id_column)
     transition, decomposition, embedding = _embedding_pipeline(args, data, args.t)
@@ -455,8 +437,6 @@ def _add_embedding_flags(sub, with_seed: bool, response_required: bool = False):
     sub.add_argument("--input", required=True)
     sub.add_argument("--r", type=int, default=None)
     sub.add_argument("--epsilon", default="auto", help=_EPSILON_HELP)
-    sub.add_argument("--diss", default="sqeuclidean",
-                     help="sqeuclidean | euclidean | table:<path>")
     sub.add_argument("--response", default=None, required=response_required,
                      help="name of a response column to keep out of the features")
     sub.add_argument("--id-column", default=None)
@@ -482,6 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     emb = subs.add_parser("embed", help="diffusion-map a dataset")
     _add_embedding_flags(emb, with_seed=False)
+    emb.add_argument("--diss", default="sqeuclidean",
+                     help="sqeuclidean | euclidean | table:<path>")
     emb.add_argument("--t", type=int, default=1)
     emb.add_argument("--out", default=None)
     emb.add_argument("--save-model", default=None,
@@ -500,6 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     reg = subs.add_parser("regress", help="fit the eigenbasis regression")
     _add_embedding_flags(reg, with_seed=True, response_required=True)
+    # no table: a model built on one has no values for unseen points
+    reg.add_argument("--diss", default="sqeuclidean", choices=DISS_KINDS)
     reg.add_argument("--folds", type=int, default=10)
     reg.add_argument("--out-model", default=None)
     reg.add_argument("--out-predictions", default=None)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -11,7 +12,7 @@ import numpy as np
 from . import kernels
 from .errors import ValidationError
 
-DISS_KINDS = ("sqeuclidean", "euclidean", "table")
+DISS_KINDS = ("sqeuclidean", "euclidean")
 
 # Side of the square tiles ``validate_dissimilarity`` checks for symmetry.
 _SYMMETRY_TILE = 256
@@ -84,23 +85,19 @@ class DataSet:
 
 @dataclass(frozen=True)
 class Dissimilarity:
-    """Pairwise dissimilarity choice: a built-in kind or a user-supplied table."""
+    """Pairwise dissimilarity of points, by kind: one of ``DISS_KINDS``."""
 
     kind: str = "sqeuclidean"
-    table: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in DISS_KINDS:
-            raise ValidationError(
-                f"unknown dissimilarity kind {self.kind!r}; expected one of {DISS_KINDS}"
-            )
-        if self.kind == "table":
-            if self.table is None:
-                raise ValidationError("table kind requires a table matrix")
-            tab = validate_dissimilarity(self.table, "dissimilarity table")
-            object.__setattr__(self, "table", frozen_array(tab))
-        elif self.table is not None:
-            raise ValidationError(f"kind {self.kind!r} does not take a table")
+        _check_kind(self.kind)
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in DISS_KINDS:
+        raise ValidationError(
+            f"unknown dissimilarity kind {kind!r}; expected one of {DISS_KINDS}"
+        )
 
 
 def validate_dissimilarity(values, what: str = "dissimilarity matrix") -> np.ndarray:
@@ -131,30 +128,50 @@ def pairwise_dissimilarity(data: DataSet, diss: Dissimilarity) -> np.ndarray:
 
     Squared-euclidean entry (i, j) is sum_k (x_ik - x_jk)^2 with a fixed
     per-entry summation order; the euclidean kind is its entrywise square
-    root.  A user table is validated against n and returned as-is.
+    root.
     """
-    if diss.kind == "table":
-        if diss.table.shape != (data.n, data.n):
-            raise ValidationError(
-                f"table shape {diss.table.shape} does not match n={data.n}"
-            )
-        return diss.table
     return _point_dissimilarity(data.points, diss.kind)
 
 
-def _point_dissimilarity(points, kind: str = "sqeuclidean") -> np.ndarray:
-    """The sqeuclidean or euclidean matrix of ``points``, in one fresh
-    writable buffer that the caller owns."""
-    if kind not in ("sqeuclidean", "euclidean"):
-        raise ValidationError(
-            f"kind {kind!r} is not computed from points; expected sqeuclidean or euclidean"
-        )
+def _point_dissimilarity(points, kind: str = "sqeuclidean",
+                         reference: Optional[np.ndarray] = None) -> np.ndarray:
+    """The ``kind`` dissimilarities from the rows of ``points`` to those of
+    ``reference`` (of ``points`` when None), in a fresh buffer the caller
+    owns: the one path from points to D, for training and for queries.
+    Finite coordinates far apart overflow to inf, for the caller to report,
+    and not as a floating-point warning."""
+    _check_kind(kind)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValidationError("points must be a 2-D matrix")
-    dmat = kernels.pairwise_sq_dists(pts)
-    if kind == "euclidean":
-        np.sqrt(dmat, out=dmat)
+    with np.errstate(over="ignore"):
+        if reference is None:
+            dmat = kernels.pairwise_sq_dists(pts)
+        else:
+            dmat = kernels.cross_sq_dists(pts, reference)
+        if kind == "euclidean":
+            np.sqrt(dmat, out=dmat)
+    return dmat
+
+
+def read_dissimilarity_table(path, n: int) -> np.ndarray:
+    """The n x n dissimilarity matrix in the headerless CSV file ``path``,
+    validated, in the buffer it was read into, which the caller owns (the
+    CLI builds the kernel in it)."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below, not as a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            dmat = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"malformed dissimilarity table {path}: {exc}") from exc
+    if dmat.size == 0:
+        raise ValidationError(f"dissimilarity table {path} has no rows")
+    validate_dissimilarity(dmat, "dissimilarity table")
+    if dmat.shape != (n, n):
+        raise ValidationError(
+            f"dissimilarity table {path} has shape {dmat.shape}, which does not match n={n}"
+        )
     return dmat
 
 

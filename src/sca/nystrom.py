@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .dataset import DataSet, frozen_array
+from .dataset import DISS_KINDS, DataSet, _point_dissimilarity, frozen_array
 from .errors import NumericalError, ValidationError
 from .markov import TransitionMatrix
 from .spectral import SpectralDecomposition, _check_pair_index, _check_time
@@ -35,7 +34,7 @@ class ExtensionModel:
     diss_kind: str
 
     def __post_init__(self):
-        if self.diss_kind not in ("sqeuclidean", "euclidean"):
+        if self.diss_kind not in DISS_KINDS:
             raise ValidationError(
                 "out-of-sample extension needs a computable dissimilarity; "
                 f"kind {self.diss_kind!r} has no values for unseen points"
@@ -79,9 +78,7 @@ def _convex_weights(model: ExtensionModel, q: np.ndarray, first: int = 0) -> np.
     """Kernel weights of checked queries ``q``, whose row 0 is query ``first``."""
     # one buffer throughout; dividing by -epsilon equals negating and
     # then dividing, bit for bit
-    weights = kernels.cross_sq_dists(q, model.points)
-    if model.diss_kind == "euclidean":
-        np.sqrt(weights, out=weights)
+    weights = _point_dissimilarity(q, model.diss_kind, model.points)
     np.divide(weights, -model.epsilon, out=weights)
     np.exp(weights, out=weights)
     sums = weights.sum(axis=1)

@@ -514,6 +514,66 @@ def test_embed_malformed_table_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # numpy's "no data" warning is not let through
+def test_embed_empty_table_exits_1_with_one_line(tmp_path, capsys):
+    data = _gen(tmp_path)
+    table = tmp_path / "empty.csv"
+    table.write_text("")
+    out = tmp_path / "coords.csv"
+    capsys.readouterr()
+    assert main(["embed", "--input", str(data), "--response", "response",
+                 "--diss", f"table:{table}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dissimilarity table {table} has no rows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--save-model", "m.npz"],
+    ["regress", "--seed", "1"],
+])
+def test_table_runs_that_cannot_predict_exit_before_reading(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    # a model built on a table has no values for unseen points
+    data = _gen(tmp_path)
+    table = tmp_path / "t.csv"
+    table.write_text("0.0\n")
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the table run was rejected")
+    monkeypatch.setattr(sca.cli, "read_dissimilarity_table", never)
+    monkeypatch.setattr(sca.cli, "decompose", never)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--input", str(data), "--response", "response",
+                        "--diss", f"table:{table}"]) == 1
+    err = capsys.readouterr().err
+    assert f"table:{table}" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.meta.json", "t.csv"]
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning would escape as an exception
+@pytest.mark.parametrize("diss", ["sqeuclidean", "euclidean"])
+def test_far_query_exits_2_with_only_the_numerical_failure(tmp_path, capsys, diss):
+    # (1e200 - x)^2 overflows: the query's kernel row is zero
+    data = _gen(tmp_path)
+    assert main(["regress", "--input", str(data), "--response", "response", "--diss", diss,
+                 "--folds", "3", "--r", "4", "--seed", "1",
+                 "--out-model", str(tmp_path / "reg.npz")]) == 0
+    assert main(["embed", "--input", str(data), "--response", "response", "--diss", diss,
+                 "--r", "3", "--save-model", str(tmp_path / "emb.npz")]) == 0
+    query = tmp_path / "far.csv"
+    query.write_text("id,x0,x1,x2\nfar,1e200,0,0\n")
+    capsys.readouterr()
+    for argv in (["predict", "--model", str(tmp_path / "reg.npz")],
+                 ["extend", "--model", str(tmp_path / "emb.npz")]):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--input", str(query), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: kernel row for query point 0 underflowed to zero; "
+                       "the point is too far from the training data at this epsilon\n")
+        assert not out.exists()
+
+
 def test_gen_library_sidecar_records_ref_index(tmp_path):
     lib = tmp_path / "lib.csv"
     assert main(["gen", "--kind", "component-families", "--n", "12",

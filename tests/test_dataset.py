@@ -13,6 +13,7 @@ from sca.dataset import (
     frozen_array,
     load_dataset,
     pairwise_dissimilarity,
+    read_dissimilarity_table,
     validate_dissimilarity,
 )
 from sca.errors import ValidationError
@@ -181,33 +182,57 @@ def test_squared_euclidean_is_square_of_euclidean():
     np.testing.assert_allclose(eu ** 2, sq, rtol=1e-12)
 
 
-def test_user_table_roundtrip():
+def _table_file(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    np.savetxt(path, np.asarray(rows, dtype=float), delimiter=",")
+    return path
+
+
+def test_user_table_roundtrip(tmp_path):
     table = np.array([[0.0, 2.0], [2.0, 0.0]])
-    data = DataSet(points=[[0.0], [1.0]], ids=("0", "1"))
-    d = pairwise_dissimilarity(data, Dissimilarity(kind="table", table=table))
+    d = read_dissimilarity_table(_table_file(tmp_path, table), 2)
     np.testing.assert_array_equal(d, table)
+    # the caller owns the buffer: the CLI builds the kernel in it
+    assert d.flags.writeable and d.flags.owndata
 
 
-def test_user_table_dimension_mismatch():
-    table = np.zeros((3, 3))
-    data = DataSet(points=[[0.0], [1.0]], ids=("0", "1"))
+def test_user_table_dimension_mismatch(tmp_path):
     with pytest.raises(ValidationError, match="does not match"):
-        pairwise_dissimilarity(data, Dissimilarity(kind="table", table=table))
+        read_dissimilarity_table(_table_file(tmp_path, np.zeros((3, 3))), 2)
 
 
-def test_user_table_asymmetric_rejected():
-    with pytest.raises(ValidationError, match="symmetric"):
-        Dissimilarity(kind="table", table=[[0.0, 1.0], [2.0, 0.0]])
+def test_user_table_asymmetric_rejected(tmp_path):
+    with pytest.raises(ValidationError, match="^dissimilarity table must be symmetric$"):
+        read_dissimilarity_table(_table_file(tmp_path, [[0.0, 1.0], [2.0, 0.0]]), 2)
 
 
-def test_user_table_negative_rejected():
+def test_user_table_negative_rejected(tmp_path):
     with pytest.raises(ValidationError, match="negative"):
-        Dissimilarity(kind="table", table=[[0.0, -1.0], [-1.0, 0.0]])
+        read_dissimilarity_table(_table_file(tmp_path, [[0.0, -1.0], [-1.0, 0.0]]), 2)
 
 
-def test_user_table_nonzero_diagonal_rejected():
+def test_user_table_nonzero_diagonal_rejected(tmp_path):
     with pytest.raises(ValidationError, match="diagonal"):
-        Dissimilarity(kind="table", table=[[1.0, 2.0], [2.0, 1.0]])
+        read_dissimilarity_table(_table_file(tmp_path, [[1.0, 2.0], [2.0, 1.0]]), 2)
+
+
+@pytest.mark.filterwarnings("error")  # numpy's "no data" warning is not let through
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n"])
+def test_user_table_without_rows_rejected(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^dissimilarity table {path} has no rows$"):
+        read_dissimilarity_table(path, 2)
+
+
+def test_table_is_not_a_kind():
+    assert dataset.DISS_KINDS == ("sqeuclidean", "euclidean")
+    with pytest.raises(ValidationError, match="unknown dissimilarity kind 'table'"):
+        Dissimilarity(kind="table")
+    with pytest.raises(TypeError):
+        Dissimilarity(kind="table", table=np.zeros((2, 2)))
+    assert Dissimilarity().kind == "sqeuclidean"
+    assert Dissimilarity(kind="euclidean").kind == "euclidean"
 
 
 def test_unknown_kind_rejected():
@@ -242,5 +267,6 @@ def test_tiled_symmetry_check_finds_one_asymmetric_entry(n, i, j):
     d[i, j] = np.nextafter(d[i, j], np.inf)
     with pytest.raises(ValidationError, match="dissimilarity matrix must be symmetric"):
         validate_dissimilarity(d)
+    # the name read_dissimilarity_table passes
     with pytest.raises(ValidationError, match="^dissimilarity table must be symmetric$"):
-        Dissimilarity(kind="table", table=d)
+        validate_dissimilarity(d, "dissimilarity table")

@@ -145,6 +145,16 @@ def test_far_query_underflow_raises():
         kernel_weights(ext, data.points.max(axis=0).reshape(1, -1) + 1e4)
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is reported as an error, not a warning
+@pytest.mark.parametrize("diss_kind", ["sqeuclidean", "euclidean"])
+def test_overflowing_query_distances_raise(diss_kind):
+    # a finite query whose squared distances overflow to inf
+    data = gaussian_dataset(10, 2, 9)
+    ext = full_pipeline(data, diss_kind=diss_kind)[3]
+    with pytest.raises(NumericalError, match="query point 1"):
+        kernel_weights(ext, np.array([[0.0, 0.0], [1e200, 0.0]]))
+
+
 def test_table_dissimilarity_cannot_extend():
     data = gaussian_dataset(8, 2, 10)
     with pytest.raises(ValidationError, match="computable"):
