@@ -252,7 +252,7 @@ def _load_model(path):
         raise fault(f"has {p} coefficients for {k} stored eigenpairs; "
                     f"expected between 1 and {k}")
     regression = EigenbasisRegression(
-        intercept=r["intercept"], coefficients=r["coefficients"], p=p,
+        intercept=r["intercept"], coefficients=r["coefficients"],
         cv_risk_curve=r["cv_risk_curve"], extension=extension,
         folds=r["folds"], seed=r["seed"])
     return extension, e["t"], regression, r["response_column"]
@@ -377,16 +377,9 @@ def _load_prototypes_csv(path) -> PrototypeSet:
     table = parse_table(path)
     protos, _, (log_ages, log_mets) = table.split(
         table.default_id(), ("mean_log_age", "mean_log_met"), role="prototypes")
-    k = protos.shape[0]
-    if k == 0:
+    if protos.shape[0] == 0:
         raise ValidationError(f"prototypes file {path} has no rows")
-    return PrototypeSet(
-        prototypes=protos, member_assignments=np.arange(k),
-        centroids_diffusion=np.empty((k, 0)),
-        member_coords_diffusion=np.empty((k, 0)),
-        log_ages=log_ages, log_metallicities=log_mets,
-        wcss_history=(), method="loaded",
-    )
+    return PrototypeSet(prototypes=protos, log_ages=log_ages, log_metallicities=log_mets)
 
 
 def _cmd_fit_mixture(args) -> int:

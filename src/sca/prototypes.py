@@ -86,31 +86,37 @@ class ComponentLibrary:
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """K prototypes with member assignments and per-prototype parameters.
+    """K prototype vectors with their log ages and log metallicities.
 
-    For the K-means quantizer each prototype is the observable-space mean
-    of its members and carries their mean log age / log metallicity; the
-    grid baseline returns selected components verbatim with their own
-    parameters (and an empty diffusion-centroid block).  ``epsilon`` is
-    the kernel bandwidth K-means embedded with, None for other sets.
+    Those three are all a mixture fit reads.  K-means prototypes are the
+    observable-space means of their members, with the members' mean
+    parameters, and K-means alone fills the diffusion blocks,
+    ``wcss_history`` and its bandwidth ``epsilon``.  The grid baseline
+    returns selected components verbatim, with their own parameters and
+    member labels.  Fields that are not given stay None (or empty).
     """
 
     prototypes: np.ndarray            # (K, d)
-    member_assignments: np.ndarray    # (N,) cluster label per library row
-    centroids_diffusion: np.ndarray   # (K, r) centroids in diffusion space
-    member_coords_diffusion: np.ndarray  # (N, r) member coords, original row order
     log_ages: np.ndarray              # (K,)
     log_metallicities: np.ndarray     # (K,)
-    wcss_history: tuple               # per-assignment within-cluster sum of squares
-    method: str
+    member_assignments: Optional[np.ndarray] = None    # (N,) cluster label per library row
+    centroids_diffusion: Optional[np.ndarray] = None   # (K, r) centroids in diffusion space
+    member_coords_diffusion: Optional[np.ndarray] = None  # (N, r), original row order
+    wcss_history: tuple = ()          # per-assignment within-cluster sum of squares
     epsilon: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("prototypes", "centroids_diffusion", "member_coords_diffusion",
-                     "log_ages", "log_metallicities"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name)))
-        object.__setattr__(self, "member_assignments",
-                           frozen_array(self.member_assignments, dtype=np.int64))
+        for name in ("prototypes", "log_ages", "log_metallicities", "member_assignments",
+                     "centroids_diffusion", "member_coords_diffusion"):
+            value = getattr(self, name)
+            if value is not None:
+                dtype = np.int64 if name == "member_assignments" else np.float64
+                object.__setattr__(self, name, frozen_array(value, dtype=dtype))
+        if self.prototypes.ndim != 2:
+            raise ValidationError("prototypes must be a K x d matrix")
+        for name in ("log_ages", "log_metallicities"):
+            if getattr(self, name).shape != (self.k,):
+                raise ValidationError(f"{name} must have length K={self.k}")
         object.__setattr__(self, "wcss_history", tuple(float(w) for w in self.wcss_history))
 
     @property
@@ -228,7 +234,6 @@ def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
         log_ages=proto_log_age,
         log_metallicities=proto_log_met,
         wcss_history=wcss_history,
-        method="diffusion-kmeans",
         epsilon=transition.epsilon,
     )
 
@@ -236,8 +241,11 @@ def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
 def grid_prototypes(lib: ComponentLibrary, k: int) -> PrototypeSet:
     """Baseline: pick the K components nearest a uniform (log t, log Z) grid.
 
-    Grid nodes sit at the centers of K equal cells over each active
-    parameter range (a near-square product grid when both vary); each
+    Grid nodes are the product of cell centers over each parameter range
+    scaled to [0, 1], with k1 = ceil(sqrt(K)) by ceil(K / k1) cells when
+    both parameters vary and K cells along age otherwise (along
+    metallicity when only it varies); the first K nodes in row-major
+    order are kept, and a constant parameter holds its nodes at 0.  Each
     node claims its nearest unclaimed component.  Selected components are
     returned verbatim, ordered by library index.
     """
@@ -246,51 +254,29 @@ def grid_prototypes(lib: ComponentLibrary, k: int) -> PrototypeSet:
         raise ValidationError(f"k must lie in [1, {n}], got {k}")
     log_age = np.log(lib.ages)
     log_met = np.log(lib.metallicities)
-    cols = []
-    spans = []
+    cols, varies = [], []
     for vals in (log_age, log_met):
         lo, hi = float(vals.min()), float(vals.max())
-        spans.append(hi - lo)
+        varies.append(hi > lo)
         cols.append((vals - lo) / (hi - lo) if hi > lo else np.zeros(n))
     params = np.column_stack(cols)
 
-    def centers(count):
-        return (np.arange(count) + 0.5) / count
-
-    if spans[0] > 0 and spans[1] > 0:
-        k1 = math.ceil(math.sqrt(k))
-        k2 = math.ceil(k / k1)
-        nodes = [(a, z) for a in centers(k1) for z in centers(k2)][:k]
-    elif spans[0] > 0:
-        nodes = [(a, 0.0) for a in centers(k)]
-    elif spans[1] > 0:
-        nodes = [(0.0, z) for z in centers(k)]
-    else:
-        nodes = [(0.0, 0.0)] * k
+    k1 = math.ceil(math.sqrt(k)) if all(varies) else (1 if varies[1] else k)
+    axes = [(np.arange(count) + 0.5) / count if vary else np.zeros(count)
+            for count, vary in zip((k1, math.ceil(k / k1)), varies)]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)[:k]
 
     taken = np.zeros(n, dtype=bool)
-    selected = []
     for node in nodes:
-        d2 = np.sum((params - np.asarray(node)) ** 2, axis=1)
+        d2 = np.sum((params - node) ** 2, axis=1)
         d2[taken] = np.inf
-        pick = int(np.argmin(d2))
-        taken[pick] = True
-        selected.append(pick)
-    sel = np.array(sorted(selected))
+        taken[np.argmin(d2)] = True
+    sel = np.flatnonzero(taken)
 
-    d2all = np.sum((params[:, None, :] - params[sel][None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2all, axis=1).astype(np.int64)
+    labels = kernels.assign_nearest(params, params[sel])[0]
     labels[sel] = np.arange(k)  # a selected component always owns itself
-    return PrototypeSet(
-        prototypes=lib.spectra[sel],
-        member_assignments=labels,
-        centroids_diffusion=np.empty((k, 0)),
-        member_coords_diffusion=np.empty((n, 0)),
-        log_ages=log_age[sel],
-        log_metallicities=log_met[sel],
-        wcss_history=(),
-        method="grid",
-    )
+    return PrototypeSet(prototypes=lib.spectra[sel], log_ages=log_age[sel],
+                        log_metallicities=log_met[sel], member_assignments=labels)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -440,7 +426,6 @@ class QuantizationReport:
     diffusion: MethodBenchmark
     grid: MethodBenchmark
     diffusion_set: PrototypeSet
-    grid_set: PrototypeSet
 
     def to_dict(self):
         return {
@@ -506,7 +491,7 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
     return QuantizationReport(
         k=k, n_trials=n_trials, noise_sd=float(noise_sd), seed=seed,
         diffusion=summarize("diffusion"), grid=summarize("grid"),
-        diffusion_set=protos["diffusion"], grid_set=protos["grid"],
+        diffusion_set=protos["diffusion"],
     )
 
 

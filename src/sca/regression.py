@@ -21,7 +21,6 @@ from .spectral import DiffusionEmbedding, _coords
 class EigenbasisRegression:
     intercept: float
     coefficients: np.ndarray
-    p: int
     cv_risk_curve: np.ndarray      # risk estimate for each candidate p = 1..r
     extension: ExtensionModel
     folds: int
@@ -30,6 +29,11 @@ class EigenbasisRegression:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", frozen_array(self.coefficients))
         object.__setattr__(self, "cv_risk_curve", frozen_array(self.cv_risk_curve))
+
+    @property
+    def p(self) -> int:
+        """Number of eigenvectors in the fit."""
+        return self.coefficients.size
 
 
 def kfold_indices(n: int, folds: int, seed: int):
@@ -118,7 +122,6 @@ def fit(data: DataSet, emb: DiffusionEmbedding, ext: ExtensionModel,
     return EigenbasisRegression(
         intercept=intercept,
         coefficients=coefficients,
-        p=p,
         cv_risk_curve=risks,
         extension=ext,
         folds=folds,

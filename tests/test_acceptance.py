@@ -200,10 +200,8 @@ def _simplex_grid_best(vectors, y, resolution=0.01):
 def test_criterion_6_simplex_mixture_fitting():
     vectors = np.random.default_rng(40).normal(size=(5, 30))
     proto = PrototypeSet(
-        prototypes=vectors, member_assignments=np.arange(5),
-        centroids_diffusion=np.empty((5, 0)), member_coords_diffusion=np.empty((5, 0)),
-        log_ages=np.linspace(0.0, 1.0, 5), log_metallicities=np.linspace(-1.0, 0.0, 5),
-        wcss_history=(), method="loaded")
+        prototypes=vectors,
+        log_ages=np.linspace(0.0, 1.0, 5), log_metallicities=np.linspace(-1.0, 0.0, 5))
     vertex = fit_mixture(proto, vectors[3])
     vertex_err = float(np.abs(vertex.gamma - np.eye(5)[3]).max())
     midpoint = fit_mixture(proto, 0.5 * vectors[0] + 0.5 * vectors[1])
@@ -218,11 +216,8 @@ def test_criterion_6_simplex_mixture_fitting():
         signal = gamma_true @ vecs
         y = signal + 0.01 * np.linalg.norm(signal) / 5.0 * rng.normal(size=25)
         small = PrototypeSet(
-            prototypes=vecs, member_assignments=np.arange(k),
-            centroids_diffusion=np.empty((k, 0)),
-            member_coords_diffusion=np.empty((k, 0)),
-            log_ages=np.zeros(k) + 1.0, log_metallicities=np.zeros(k) - 1.0,
-            wcss_history=(), method="loaded")
+            prototypes=vecs,
+            log_ages=np.zeros(k) + 1.0, log_metallicities=np.zeros(k) - 1.0)
         solved = fit_mixture(small, y)
         oracle = _simplex_grid_best(vecs, y)
         worst_l1 = max(worst_l1, float(np.abs(solved.gamma - oracle).sum()))

@@ -38,13 +38,8 @@ def _loose_protoset(vectors, log_ages=None, log_mets=None):
     k = vectors.shape[0]
     return PrototypeSet(
         prototypes=vectors,
-        member_assignments=np.arange(k),
-        centroids_diffusion=np.empty((k, 0)),
-        member_coords_diffusion=np.empty((k, 0)),
         log_ages=np.linspace(0.0, 1.0, k) if log_ages is None else log_ages,
         log_metallicities=np.linspace(-1.0, 0.0, k) if log_mets is None else log_mets,
-        wcss_history=(),
-        method="loaded",
     )
 
 
@@ -213,6 +208,51 @@ def test_grid_1d_family_matches_bruteforce_oracle():
     assert selected == [1, 3, 4, 6, 8]  # every-other coverage of the 1-D family
 
 
+def _four_branch_grid_oracle(lib, k):
+    """Library rows each node of the explicit four-case grid claims, in node order."""
+    params = []
+    for vals in (np.log(lib.ages), np.log(lib.metallicities)):
+        span = vals.max() - vals.min()
+        params.append((vals - vals.min()) / span if span > 0 else np.zeros(vals.size))
+    age, met = params
+
+    def centers(count):
+        return [(i + 0.5) / count for i in range(count)]
+
+    if age.any() and met.any():
+        k1 = int(np.ceil(np.sqrt(k)))
+        nodes = [(a, z) for a in centers(k1) for z in centers(int(np.ceil(k / k1)))][:k]
+    elif age.any():
+        nodes = [(a, 0.0) for a in centers(k)]
+    elif met.any():
+        nodes = [(0.0, z) for z in centers(k)]
+    else:
+        nodes = [(0.0, 0.0)] * k
+    claimed = []
+    for a, z in nodes:
+        free = [i for i in range(lib.n_components) if i not in claimed]
+        claimed.append(min(free, key=lambda i: ((age[i] - a) ** 2 + (met[i] - z) ** 2, i)))
+    return claimed
+
+
+@pytest.mark.parametrize("varying", ["metallicity", "neither"])
+@pytest.mark.parametrize("k", [1, 3, 5, 8])
+def test_grid_with_a_constant_parameter_matches_bruteforce_oracle(varying, k):
+    n = 8
+    spectra = np.ones((n, 6))
+    spectra[:, 1:] = 1.0 + np.arange(n)[:, None] * np.linspace(0.1, 0.5, 5)[None, :]
+    mets = np.exp(np.arange(float(n))) if varying == "metallicity" else np.full(n, 0.02)
+    lib = ComponentLibrary.normalize(spectra, ages=np.full(n, 3.0), metallicities=mets)
+    proto = grid_prototypes(lib, k)
+    expected = sorted(_four_branch_grid_oracle(lib, k))
+    np.testing.assert_array_equal(proto.prototypes, lib.spectra[expected])
+    np.testing.assert_array_equal(proto.log_metallicities, np.log(mets[expected]))
+    assert proto.member_assignments[expected].tolist() == list(range(k))
+    if varying == "neither":
+        assert expected == list(range(k))  # all tied: lowest free index wins
+    assert proto.centroids_diffusion is None and proto.member_coords_diffusion is None
+
+
 def test_grid_k1_picks_parameter_midpoint():
     lib = _uniform_1d_library(10)
     proto = grid_prototypes(lib, 1)
@@ -233,6 +273,24 @@ def test_grid_assignments_cover_all_clusters():
     lib = _families_library(n=25)
     proto = grid_prototypes(lib, 7)
     assert set(proto.member_assignments.tolist()) == set(range(7))
+
+
+@pytest.mark.parametrize("field", ["log_ages", "log_metallicities"])
+def test_prototype_set_rejects_parameters_not_of_length_k(field):
+    values = {"log_ages": np.zeros(3), "log_metallicities": np.zeros(3)}
+    values[field] = np.zeros(2)
+    with pytest.raises(ValidationError, match=f"{field} must have length K=3"):
+        PrototypeSet(prototypes=np.ones((3, 4)), **values)
+
+
+def test_prototype_set_needs_only_vectors_and_parameters():
+    proto = PrototypeSet(prototypes=np.ones((2, 4)), log_ages=[0.0, 1.0],
+                         log_metallicities=[0.0, 0.0])
+    assert proto.k == 2 and proto.wcss_history == () and proto.epsilon is None
+    assert proto.member_assignments is None and proto.centroids_diffusion is None
+    with pytest.raises(TypeError):
+        PrototypeSet(prototypes=np.ones((2, 4)), log_ages=[0.0, 1.0],
+                     log_metallicities=[0.0, 0.0], method="grid")
 
 
 # --- simplex projection and mixture fitting ----------------------------------

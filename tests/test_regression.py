@@ -1,5 +1,7 @@
 """Eigenbasis regression: CV selection, exactness, and prediction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,15 @@ def test_predict_on_training_matches_fitted_values():
     model = fit(_with_response(data, y), emb, ext, folds=5, seed=3)
     preds = predict(model, data.points)
     assert np.abs(preds - fitted_values(model)).max() <= 1e-9
+
+
+def test_p_is_the_number_of_coefficients():
+    data, dec, emb, ext = _healthy_setup(14, 3, 2)
+    model = fit(_with_response(data, np.sin(data.points[:, 0])), emb, ext, folds=5, seed=3)
+    assert model.p == model.coefficients.size
+    shorter = dataclasses.replace(model, coefficients=model.coefficients[:-1])
+    assert shorter.p == model.p - 1
+    assert predict(shorter, data.points[:3]).shape == (3,)
 
 
 def test_predict_empty_input():
