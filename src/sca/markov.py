@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import _point_dissimilarity, frozen_array, validate_dissimilarity
+from .dataset import _check_kind, _point_dissimilarity, frozen_array, validate_dissimilarity
 from .errors import NumericalError, ValidationError
 
 
@@ -58,8 +58,10 @@ def build_transition(dmat: np.ndarray, epsilon: Optional[float] = None,
     that a NaN in D is reported as non-finite.
     Any kernel entry that underflows to zero breaks the
     strictly-positive-chain invariant and raises NumericalError naming
-    the offending row.  D itself is never written.
+    the offending row.  D itself is never written.  ``diss_kind`` names
+    how D was computed and must be one of ``DISS_KINDS``.
     """
+    _check_kind(diss_kind)
     return _gaussian_chain(validate_dissimilarity(dmat), epsilon, diss_kind)
 
 

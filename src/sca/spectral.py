@@ -65,10 +65,14 @@ class DiffusionEmbedding:
 
     coords: np.ndarray
     t: int
-    r: int
 
     def __post_init__(self):
         object.__setattr__(self, "coords", frozen_array(self.coords))
+
+    @property
+    def r(self) -> int:
+        """Number of diffusion coordinates."""
+        return self.coords.shape[1]
 
 
 def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
@@ -220,7 +224,7 @@ def embed(decomposition: SpectralDecomposition, t: int, r: int) -> DiffusionEmbe
     """Diffusion map coordinates: coords[i, j] = lambda_{j+1}^t psi_{j+1}(x_i)."""
     t = _check_time(t)
     r = _check_pair_index(r, decomposition, "embedding dimension r")
-    return DiffusionEmbedding(coords=_coords(decomposition, t, r), t=t, r=r)
+    return DiffusionEmbedding(coords=_coords(decomposition, t, r), t=t)
 
 
 def _coords(decomposition: SpectralDecomposition, t: int, r: int) -> np.ndarray:

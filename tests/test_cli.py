@@ -235,7 +235,10 @@ def test_ids_with_commas_and_quotes_survive_embed(tmp_path):
      "seed must be nonnegative"),
     (["embed", "--input", "{d}", "--response", "response", "--epsilon", "inf"],
      "epsilon must be a positive finite real"),
-], ids=["regress-seed", "prototype-seed", "bench-quantization-seed", "embed-epsilon-inf"])
+    (["embed", "--input", "{d}", "--response", "response", "--epsilon", "foo"],
+     "epsilon must be a positive real or 'auto', got 'foo'"),
+], ids=["regress-seed", "prototype-seed", "bench-quantization-seed", "embed-epsilon-inf",
+        "embed-epsilon-text"])
 def test_negative_seed_or_infinite_epsilon_exits_1(tmp_path, capsys, argv, message):
     paths = {"d": _gen(tmp_path), "lib": tmp_path / "lib.csv"}
     assert main(["gen", "--kind", "degenerate-components", "--n", "20", "--seed", "7",
@@ -303,6 +306,24 @@ def test_disconnected_graph_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: graph is numerically disconnected")
     assert "larger epsilon" in err and "Traceback" not in err
+
+
+def test_prototype_with_more_clusters_than_distinct_components_exits_2(tmp_path, capsys):
+    lib = tmp_path / "lib.csv"
+    assert main(["gen", "--kind", "component-families", "--n", "6", "--seed", "1",
+                 "--n-families", "2", "--bins", "10", "--out", str(lib)]) == 0
+    header, *rows = lib.read_text().splitlines()
+    copies = [f"{i + len(rows)}{row[row.index(','):]}" for i, row in enumerate(rows)]
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text("\n".join([header, *rows, *copies]) + "\n")
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+    assert main(["prototype", "--input", str(doubled), "--k", "12", "--r", "5", "--seed", "0",
+                 "--out-prefix", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: k-means left 1 empty clusters; "
+        "k exceeds the number of distinguishable components\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_extend_reproduces_training_coordinates(tmp_path):

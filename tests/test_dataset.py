@@ -56,6 +56,11 @@ def test_load_inf_cell_is_malformed_row():
         load_dataset(_stream("a,b\ninf,2\n3,4\n"))
 
 
+def test_parse_table_duplicate_header_rejected():
+    with pytest.raises(ValidationError, match="duplicate column names"):
+        dataset.parse_table(_stream("id,x,x\na,1,2\nb,3,4\n"))
+
+
 def test_load_duplicate_ids_rejected():
     with pytest.raises(ValidationError, match="duplicate"):
         load_dataset(_stream("id,a\nx,1\nx,2\n"), id_column="id")
@@ -93,6 +98,11 @@ def test_load_ragged_row_rejected():
 def test_dataset_rejects_nonfinite_points():
     with pytest.raises(ValidationError, match="non-finite"):
         DataSet(points=[[1.0], [np.nan]], ids=("0", "1"))
+
+
+def test_dataset_rejects_nonfinite_response():
+    with pytest.raises(ValidationError, match="response contains non-finite"):
+        DataSet(points=[[1.0], [2.0]], ids=("0", "1"), response=[1.0, np.inf])
 
 
 def test_dataset_rejects_bad_response_length():

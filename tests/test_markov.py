@@ -80,6 +80,18 @@ def test_asymmetric_matrix_rejected():
         build_transition(bad, epsilon=1.0)
 
 
+def test_misspelt_diss_kind_rejected():
+    # named here, not later as a kind with "no values for unseen points"
+    with pytest.raises(ValidationError, match="unknown dissimilarity kind 'euclidian'"):
+        build_transition(np.zeros((2, 2)), epsilon=1.0, diss_kind="euclidian")
+
+
+@pytest.mark.parametrize("rule", [build_transition, default_epsilon])
+def test_one_observation_rejected(rule):
+    with pytest.raises(ValidationError, match="need at least 2 observations"):
+        rule(np.zeros((1, 1)))
+
+
 @pytest.mark.parametrize("n", [2, 3, 7, 60])
 def test_kernel_is_bitwise_the_out_of_place_exponential(n):
     dmat, _, _ = pipeline(gaussian_dataset(n, 3, n))

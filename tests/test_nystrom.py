@@ -190,6 +190,19 @@ def test_query_dimension_mismatch():
         kernel_weights(ext, np.zeros((1, 3)))
 
 
+def test_nan_query_rejected():
+    data = gaussian_dataset(9, 2, 12)
+    _, _, _, ext = full_pipeline(data)
+    with pytest.raises(ValidationError, match="query points contain non-finite"):
+        kernel_weights(ext, np.array([[0.0, 0.0], [0.0, np.nan]]))
+
+
+def test_build_extension_rejects_sizes_that_disagree():
+    transition, decomposition, _, _ = full_pipeline(gaussian_dataset(9, 2, 12))
+    with pytest.raises(ValidationError, match="sizes disagree"):
+        build_extension(gaussian_dataset(8, 2, 12), transition, decomposition)
+
+
 def _truncated(ext, p):
     # what a regression model file stores: the leading p nontrivial pairs
     dec = ext.decomposition

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sca import kernels
-from sca.errors import ValidationError
+from sca.errors import NumericalError, ValidationError
 from sca.markov import default_epsilon
 from sca.prototypes import (
     ComponentLibrary,
@@ -32,6 +32,15 @@ def _uniform_1d_library(n=10):
     spectra[:, 1:] = 1.0 + np.arange(n)[:, None] * np.linspace(0.1, 0.5, 7)[None, :]
     return ComponentLibrary.normalize(spectra, ages=np.exp(np.arange(float(n))),
                                       metallicities=np.full(n, 0.02))
+
+
+def _doubled_families_library():
+    """Six components in two families, every row stacked twice."""
+    lib = generate(GeneratorSpec(kind="component-families", n=6, seed=1, n_families=2,
+                                 n_bins=10))
+    return ComponentLibrary(spectra=np.vstack([lib.spectra] * 2),
+                            ages=np.concatenate([lib.ages] * 2),
+                            metallicities=np.concatenate([lib.metallicities] * 2))
 
 
 def _loose_protoset(vectors, log_ages=None, log_mets=None):
@@ -116,6 +125,13 @@ def test_kmeans_k_too_large_rejected():
         diffusion_kmeans(lib, 11, seed=0)
 
 
+def test_kmeans_more_clusters_than_distinct_components_raises():
+    # k-means++ runs out of distinct points to seed, and a duplicate's
+    # cluster stays empty after the farthest-point repair
+    with pytest.raises(NumericalError, match="k-means left 1 empty clusters"):
+        diffusion_kmeans(_doubled_families_library(), 12, r=5, seed=0)
+
+
 def test_kmeans_negative_seed_rejected():
     with pytest.raises(ValidationError, match="seed must be nonnegative"):
         diffusion_kmeans(_families_library(n=10), 2, seed=-1)
@@ -183,6 +199,12 @@ def test_grid_k_equals_n_selects_everything():
     proto = grid_prototypes(lib, 9)
     np.testing.assert_allclose(np.sort(proto.prototypes, axis=0),
                                np.sort(lib.spectra, axis=0), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 10])
+def test_grid_k_out_of_range_rejected(k):
+    with pytest.raises(ValidationError, match=f"k must lie in \\[1, 9\\], got {k}"):
+        grid_prototypes(_families_library(n=9), k)
 
 
 def test_grid_1d_family_matches_bruteforce_oracle():
@@ -521,6 +543,11 @@ def test_benchmark_single_trial_bookkeeping():
     payload = report.to_dict()
     assert len(payload["methods"]["diffusion"]["trials"]) == 1
     assert payload["k"] == 3
+
+
+def test_benchmark_needs_a_trial():
+    with pytest.raises(ValidationError, match="n_trials must be >= 1, got 0"):
+        quantization_benchmark(_families_library(n=10), 3, 0, 0.01, seed=2)
 
 
 def test_benchmark_deterministic_given_seed():

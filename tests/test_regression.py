@@ -16,7 +16,7 @@ from sca.regression import (
     risk_curve,
     _refit,
 )
-from sca.spectral import embed
+from sca.spectral import DiffusionEmbedding, embed
 from sca.synthetic import GeneratorSpec, generate
 
 from _oracles import pca_scores
@@ -32,6 +32,19 @@ def _healthy_setup(n, d, seed, t=1):
     _, dec, _, ext = full_pipeline(data, t=t)
     r = healthy_rank(dec)
     return data, dec, embed(dec, t, r), ext
+
+
+def test_hand_built_embedding_takes_r_from_its_coordinates():
+    data, dec, emb, ext = _healthy_setup(15, 3, 0)
+    data = _with_response(data, np.random.default_rng(3).normal(size=15))
+    hand = DiffusionEmbedding(coords=emb.coords[:, :3], t=1)
+    assert hand.r == 3
+    model = fit(data, hand, ext, folds=5, seed=1)
+    assert model.cv_risk_curve.size == 3
+    np.testing.assert_array_equal(
+        model.coefficients, fit(data, embed(dec, 1, 3), ext, folds=5, seed=1).coefficients)
+    with pytest.raises(TypeError):
+        DiffusionEmbedding(coords=emb.coords, t=1, r=3)
 
 
 def test_constant_response_fits_exactly():
