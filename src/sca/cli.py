@@ -16,7 +16,9 @@ import os
 import sys
 import tempfile
 import zipfile
+from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,16 +60,21 @@ def _write_bytes_atomic(path, data: bytes) -> None:
 
 
 def _csv_bytes(header, keys, values: np.ndarray) -> bytes:
-    """CSV of key columns (ids, int labels) beside an (n, m) float block.
+    """CSV of key columns (ids, int labels) beside an (n, m) float block, m >= 1.
 
-    ``csv`` writes a Python float as its repr, the shortest text that
-    reads back to the same double, and quotes ids that need it.
+    Each float is written as its repr, the shortest text that reads back
+    to the same double, which is what ``csv`` writes for a float.  The
+    keys go through ``csv``, which quotes the ids that need it: each key
+    row ends in an empty cell, written as a bare trailing comma, and the
+    row's floats replace the newline after it.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(key + floats for *key, floats in zip(*keys, values.tolist()))
-    return buf.getvalue().encode("utf-8")
+    writer.writerows(zip(*keys, repeat("")))
+    for i, floats in enumerate(values.tolist(), 1):
+        lines[i] = f"{lines[i][:-1]}{','.join(map(repr, floats))}\n"
+    return "".join(lines).encode("utf-8")
 
 
 def _json_bytes(obj) -> bytes:

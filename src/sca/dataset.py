@@ -209,8 +209,14 @@ class Table:
         feature_idx = [k for k in numeric if k not in label_idx]
         if not feature_idx:
             raise ValidationError(f"no feature columns remain after id/{role}")
-        values = np.array([[_number(row[k]) for k in numeric] for row in self.rows],
-                          dtype=np.float64).reshape(len(self.rows), len(numeric))
+        cells = [row[k] for row in self.rows for k in numeric]
+        try:
+            flat = np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError:
+            # a non-numeric cell: convert cell by cell, so that the first
+            # bad cell in row-major order is named, numeric or not
+            flat = np.fromiter(map(_number, cells), np.float64, len(cells))
+        values = flat.reshape(len(self.rows), len(numeric))
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             i, j = bad[0]

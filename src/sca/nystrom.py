@@ -19,8 +19,7 @@ from .spectral import SpectralDecomposition, _check_pair_index, _check_time
 
 EIGENVALUE_FLOOR = 1e-12
 
-# query rows per block in ``extend_eigenfunctions``: about 256k kernel
-# entries (2 MiB of float64) per block
+# kernel entries per query block in ``_query_blocks`` (2 MiB of float64)
 QUERY_BLOCK_ENTRIES = 1 << 18
 
 
@@ -74,36 +73,45 @@ def _check_queries(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
     return q
 
 
-def _convex_weights(model: ExtensionModel, q: np.ndarray, first: int = 0) -> np.ndarray:
-    """Kernel weights of checked queries ``q``, whose row 0 is query ``first``."""
-    # one buffer throughout; dividing by -epsilon equals negating and
-    # then dividing, bit for bit
-    weights = _point_dissimilarity(q, model.diss_kind, model.points)
-    np.divide(weights, -model.epsilon, out=weights)
-    np.exp(weights, out=weights)
-    sums = weights.sum(axis=1)
-    if not (sums > 0).all():
-        k = first + int(np.argmin(sums > 0))
-        raise NumericalError(
-            f"kernel row for query point {k} underflowed to zero; "
-            "the point is too far from the training data at this epsilon"
-        )
-    weights /= sums[:, None]
-    return weights
+def _query_blocks(model: ExtensionModel, q: np.ndarray):
+    """Kernel rows exp(-D(x, .)/epsilon) of the checked queries ``q``, in
+    row blocks of about ``QUERY_BLOCK_ENTRIES`` entries, so the m x n
+    kernel matrix is never held whole.
+
+    Yields ``(rows, weights, sums)``: the block's slice of the queries,
+    its kernel rows in a buffer the caller may overwrite, and their row
+    sums.  A row sum that underflowed to zero raises NumericalError
+    naming the query's index in ``q``.
+    """
+    step = max(1, QUERY_BLOCK_ENTRIES // model.n)
+    for lo in range(0, q.shape[0], step):
+        # one buffer throughout; dividing by -epsilon equals negating and
+        # then dividing, bit for bit
+        weights = _point_dissimilarity(q[lo:lo + step], model.diss_kind, model.points)
+        np.divide(weights, -model.epsilon, out=weights)
+        np.exp(weights, out=weights)
+        sums = weights.sum(axis=1)
+        if not (sums > 0).all():
+            k = lo + int(np.argmin(sums > 0))
+            raise NumericalError(
+                f"kernel row for query point {k} underflowed to zero; "
+                "the point is too far from the training data at this epsilon"
+            )
+        yield slice(lo, lo + step), weights, sums
 
 
 def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
     """Convex kernel weights A(x, .) over training points, one row per query."""
-    return _convex_weights(model, _check_queries(model, new_points))
+    q = _check_queries(model, new_points)
+    out = np.empty((q.shape[0], model.n))
+    for rows, weights, sums in _query_blocks(model, q):
+        np.divide(weights, sums[:, None], out=out[rows])
+    return out
 
 
-def extend_eigenfunctions(model: ExtensionModel, new_points: np.ndarray,
-                          r: int) -> np.ndarray:
-    """Nystrom estimates at m new points: row k is (psi_hat_j(x_k))_{j=1..r}.
-
-    The queries are weighted in row blocks of about ``QUERY_BLOCK_ENTRIES``
-    kernel entries, so the m x n weight matrix is never held whole.
-    """
+def _checked_eigenvalues(model: ExtensionModel, r: int) -> np.ndarray:
+    """The leading ``r`` eigenvalues, each checked against ``EIGENVALUE_FLOOR``:
+    1/lambda_j scales the extension of psi_j, so it is undefined below it."""
     r = _check_pair_index(r, model.decomposition, "number of eigenfunctions r")
     lams = model.decomposition.eigenvalues[:r]
     small = np.flatnonzero(np.abs(lams) < EIGENVALUE_FLOOR)
@@ -112,13 +120,23 @@ def extend_eigenfunctions(model: ExtensionModel, new_points: np.ndarray,
         raise NumericalError(
             f"eigenvalue {j + 1} has magnitude {abs(lams[j]):.3e} below the "
             f"{EIGENVALUE_FLOOR} floor; its extension is undefined")
+    return lams
+
+
+def extend_eigenfunctions(model: ExtensionModel, new_points: np.ndarray,
+                          r: int) -> np.ndarray:
+    """Nystrom estimates at m new points: row k is (psi_hat_j(x_k))_{j=1..r}.
+
+    The queries are weighted in the row blocks of ``_query_blocks``.
+    """
+    lams = _checked_eigenvalues(model, r)
     q = _check_queries(model, new_points)
     # contiguous: bitwise equal for a model storing only r pairs, and faster
-    psi = np.ascontiguousarray(model.decomposition.eigenvectors[:, :r])
-    out = np.empty((q.shape[0], r))
-    step = max(1, QUERY_BLOCK_ENTRIES // model.n)
-    for lo in range(0, q.shape[0], step):
-        np.matmul(_convex_weights(model, q[lo:lo + step], lo), psi, out=out[lo:lo + step])
+    psi = np.ascontiguousarray(model.decomposition.eigenvectors[:, :lams.size])
+    out = np.empty((q.shape[0], lams.size))
+    for rows, weights, sums in _query_blocks(model, q):
+        weights /= sums[:, None]
+        np.matmul(weights, psi, out=out[rows])
     out /= lams[None, :]
     return out
 

@@ -2,7 +2,8 @@
 
 The response is fit by least squares on an intercept plus the leading
 eigenvectors psi_1..psi_p; p is chosen by K-fold cross-validated risk
-over p = 1..r, and prediction evaluates the Nystrom estimates psi_hat_j.
+over p = 1..r, and prediction evaluates the fit on the Nystrom
+estimates psi_hat_j.
 Rescaling columns cannot change a least-squares fit, so diffusion time
 has no place here: on lambda_j^t psi_j it would only add rounding.
 """
@@ -13,7 +14,7 @@ import numpy as np
 
 from .dataset import DataSet, frozen_array
 from .errors import NumericalError, ValidationError
-from .nystrom import ExtensionModel, extend_eigenfunctions
+from .nystrom import ExtensionModel, _check_queries, _checked_eigenvalues, _query_blocks
 from .spectral import DiffusionEmbedding, _coords
 
 
@@ -130,9 +131,24 @@ def fit(data: DataSet, emb: DiffusionEmbedding, ext: ExtensionModel,
 
 
 def predict(model: EigenbasisRegression, new_points: np.ndarray) -> np.ndarray:
-    """intercept + psi_hat(x)[:p] @ coefficients at each new point x."""
-    psi_hat = extend_eigenfunctions(model.extension, new_points, model.p)
-    return model.intercept + psi_hat @ model.coefficients
+    """intercept + psi_hat(x)[:p] @ coefficients at each new point x.
+
+    With psi_hat_j(x) = sum_i A(x, x_i) psi_j(x_i) / lambda_j this is
+    intercept + sum_i w_i v_i / sum_i w_i, where w_i = exp(-D(x, x_i)/eps)
+    and v = psi[:, :p] @ (coefficients / lambda[:p]) folds the fit into one
+    n-vector: O(n d) per query.  Each answer is an elementwise product and
+    a row sum, so it does not depend on how the queries are batched.
+    """
+    ext = model.extension
+    lams = _checked_eigenvalues(ext, model.p)
+    q = _check_queries(ext, new_points)
+    v = ext.decomposition.eigenvectors[:, :model.p] @ (model.coefficients / lams)
+    out = np.empty(q.shape[0])
+    for rows, weights, sums in _query_blocks(ext, q):
+        weights *= v
+        np.divide(weights.sum(axis=1), sums, out=out[rows])
+    out += model.intercept
+    return out
 
 
 def risk_curve(model: EigenbasisRegression):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sca
-from sca import synthetic
+from sca import cli, synthetic
 from sca.cli import config_argv, main
 from sca.dataset import (
     Dissimilarity, load_dataset, pairwise_dissimilarity, parse_table, read_table,
@@ -212,6 +212,21 @@ def test_csv_floats_read_back_bitwise(tmp_path):
                                   proto.centroids_diffusion)
     sidecar = json.loads((tmp_path / "p.meta.json").read_text())
     assert sidecar["config"]["epsilon"] == proto.epsilon  # the number, not "auto"
+
+
+def test_csv_bytes_are_the_csv_writer_output():
+    # ids that csv quotes and ids it leaves bare, and floats with unusual reprs
+    ids = ("plain", "a,b", 'say "hi"', "two\nlines", "", " leading space", "car\rriage",
+           "naïve ✓", "tab\there", "'single'", "trailing,")
+    floats = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e16, 1e-320, 5e-324, 0.1, -2.5e-310]
+    values = np.resize(np.array(floats), (len(ids), 3)) * np.arange(1, 4)
+    for keys in ([ids], [ids, list(range(len(ids)))]):
+        header = ["id", "label"][:len(keys)] + ["x", "y", "z"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([*key, *row] for key, row in zip(zip(*keys), values.tolist()))
+        assert cli._csv_bytes(header, keys, values) == buf.getvalue().encode("utf-8")
 
 
 def test_ids_with_commas_and_quotes_survive_embed(tmp_path):

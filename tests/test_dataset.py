@@ -56,6 +56,15 @@ def test_load_inf_cell_is_malformed_row():
         load_dataset(_stream("a,b\ninf,2\n3,4\n"))
 
 
+@pytest.mark.parametrize("cell", ["", " ", "nan", "NaN", "inf", "-Infinity", "1e999", "foo"])
+def test_split_names_the_first_bad_cell_in_row_order(cell):
+    # a later non-numeric cell must not hide an earlier non-finite one
+    table = dataset.parse_table(_stream(f"id,a,b\nr1,1,2\nr2,3,{cell}\nr3,bar,5\n"))
+    with pytest.raises(ValidationError) as exc:
+        table.split("id")
+    assert str(exc.value) == f"malformed row 2: non-numeric cell {cell!r} in column 'b'"
+
+
 def test_parse_table_duplicate_header_rejected():
     with pytest.raises(ValidationError, match="duplicate column names"):
         dataset.parse_table(_stream("id,x,x\na,1,2\nb,3,4\n"))

@@ -167,9 +167,10 @@ def _symmetric(values):
     return upper + upper.T
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 41, 42])
 def test_default_epsilon_is_bitwise_the_triangle_median(n):
-    # n(n-1)/2 is odd for n = 2, 3, 6, 7 and even for n = 4, 5
+    # n(n-1)/2 is odd for n = 2, 3, 6, 7, 42 and even for n = 4, 5, 41;
+    # above 16 entries numpy's partition no longer sorts the whole triangle
     rng = np.random.default_rng(n)
     for _ in range(50):
         dmat = _symmetric(rng.uniform(0.0, 10.0, size=(n, n)))
@@ -183,8 +184,9 @@ def test_default_epsilon_is_bitwise_the_triangle_median(n):
                 default_epsilon(ties)
 
 
-@pytest.mark.parametrize("n", [60, 121, 400])
+@pytest.mark.parametrize("n", [60, 62, 121, 123, 400])
 def test_default_epsilon_is_bitwise_the_triangle_median_on_data(n):
+    # n(n-1)/2 is even for n = 60, 121, 400 and odd for n = 62, 123
     dmat, _, _ = pipeline(gaussian_dataset(n, 3, 1))
     assert default_epsilon(dmat) == _median_oracle(dmat)
     # does not write to its argument

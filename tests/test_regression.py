@@ -5,9 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sca import nystrom
 from sca.dataset import DataSet
-from sca.errors import ValidationError
+from sca.errors import NumericalError, ValidationError
+from sca.markov import build_transition
+from sca.nystrom import build_extension, extend_eigenfunctions
 from sca.regression import (
+    EigenbasisRegression,
     basis_risk_curve,
     fit,
     fitted_values,
@@ -16,7 +20,7 @@ from sca.regression import (
     risk_curve,
     _refit,
 )
-from sca.spectral import DiffusionEmbedding, embed
+from sca.spectral import DiffusionEmbedding, decompose, embed
 from sca.synthetic import GeneratorSpec, generate
 
 from _oracles import pca_scores
@@ -84,6 +88,47 @@ def test_predict_empty_input():
     data, dec, emb, ext = _healthy_setup(12, 2, 3)
     model = fit(_with_response(data, data.points[:, 0]), emb, ext, folds=4, seed=0)
     assert predict(model, np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("diss_kind", ["sqeuclidean", "euclidean"])
+def test_predict_matches_the_eigenfunction_oracle(diss_kind):
+    # predict folds coefficients / lambda into one n-vector; the oracle
+    # extends every eigenfunction and takes the dot with the coefficients
+    roll = generate(GeneratorSpec(kind="swiss-roll", n=700, noise_sd=0.3, seed=2))
+    train = DataSet(points=roll.points[:500], ids=roll.ids[:500],
+                    response=roll.response[:500])
+    _, _, emb, ext = full_pipeline(train, r=30, diss_kind=diss_kind)
+    model = fit(train, emb, ext, folds=5, seed=1)
+    queries = roll.points[500:]
+    oracle = model.intercept + extend_eigenfunctions(ext, queries, model.p) @ model.coefficients
+    np.testing.assert_allclose(predict(model, queries), oracle, rtol=1e-12, atol=0)
+
+
+def _two_point_model():
+    """A model whose one eigenvalue is zero, below the extension floor."""
+    data = DataSet(points=[[0.0], [0.0]], ids=("0", "1"))
+    transition = build_transition(np.zeros((2, 2)), epsilon=1.0)
+    ext = build_extension(data, transition, decompose(transition))
+    return EigenbasisRegression(intercept=0.0, coefficients=[1.0], cv_risk_curve=[0.0],
+                                extension=ext, folds=2, seed=0)
+
+
+@pytest.mark.parametrize("query", [np.array([[np.nan]]), np.zeros((1, 2)), np.zeros((0, 1))],
+                         ids=["non-finite", "wrong-dimension", "empty"])
+def test_predict_checks_the_eigenvalue_floor_before_the_queries(query):
+    with pytest.raises(NumericalError, match="eigenvalue 1 has magnitude 0.000e[+]00 below "
+                                             "the 1e-12 floor; its extension is undefined"):
+        predict(_two_point_model(), query)
+
+
+def test_predict_underflow_in_a_later_block_names_the_global_row():
+    data, _, emb, ext = _healthy_setup(12, 2, 3)
+    model = fit(_with_response(data, data.points[:, 0]), emb, ext, folds=4, seed=0)
+    step = nystrom.QUERY_BLOCK_ENTRIES // ext.n
+    queries = np.zeros((2 * step + 10, 2))
+    queries[step + 7] = 1e4
+    with pytest.raises(NumericalError, match=f"query point {step + 7} underflowed"):
+        predict(model, queries)
 
 
 def test_heldout_swiss_roll_mse_within_2x():
