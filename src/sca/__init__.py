@@ -4,7 +4,6 @@ eigenbasis regression, and diffusion K-means prototype selection."""
 from .dataset import DataSet, Dissimilarity, load_dataset, pairwise_dissimilarity
 from .errors import NumericalError, ValidationError
 from .markov import (
-    StationaryDistribution,
     TransitionMatrix,
     build_transition,
     default_epsilon,
@@ -51,7 +50,6 @@ __all__ = [
     "PrototypeSet",
     "QuantizationReport",
     "SpectralDecomposition",
-    "StationaryDistribution",
     "TransitionMatrix",
     "ValidationError",
     "build_extension",

@@ -95,17 +95,6 @@ def _config(args, **resolved) -> dict:
     return config
 
 
-def config_argv(config: dict):
-    """Rebuild the argv that reproduces a sidecar's run."""
-    config = dict(config)
-    argv = [config.pop("subcommand")]
-    for key, value in config.items():
-        if value is None:
-            continue
-        argv.extend([f"--{key.replace('_', '-')}", str(value)])
-    return argv
-
-
 def _derived_out(input_path, suffix: str) -> str:
     return str(Path(input_path).with_suffix(suffix))
 

@@ -39,16 +39,6 @@ class TransitionMatrix:
         return self.kernel.shape[0]
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Length-n probability vector phi0 with phi0^T A = phi0^T."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probabilities", frozen_array(self.probabilities))
-
-
 def build_transition(dmat: np.ndarray, epsilon: Optional[float] = None,
                      diss_kind: str = "sqeuclidean") -> TransitionMatrix:
     """Gaussian-kernel chain: W_ij = exp(-D_ij/eps), A_ij = W_ij / sum_k W_ik.
@@ -93,8 +83,7 @@ def _gaussian_chain(dmat: np.ndarray, epsilon: Optional[float], diss_kind: str,
     elif not 0 < epsilon < np.inf:
         raise ValidationError(f"epsilon must be a positive finite real, got {epsilon}")
     # one n x n buffer: exp(-D/eps) computed in place, then frozen as it is
-    weights = np.divide(dmat, -epsilon, out=out)
-    np.exp(weights, out=weights)
+    weights = _gaussian_kernel(dmat, epsilon, out)
     if not weights.all():
         i, j = np.argwhere(weights == 0.0)[0]
         raise NumericalError(
@@ -104,6 +93,15 @@ def _gaussian_chain(dmat: np.ndarray, epsilon: Optional[float], diss_kind: str,
     weights.setflags(write=False)
     return TransitionMatrix(kernel=weights, kernel_row_sums=weights.sum(axis=1),
                             epsilon=float(epsilon), diss_kind=diss_kind)
+
+
+def _gaussian_kernel(dmat: np.ndarray, epsilon: float,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(-D/eps) into ``out`` (which may be D) or a new buffer: the one
+    kernel step of training and of queries, so a query at a training
+    point gets that point's kernel row bit for bit."""
+    weights = np.divide(dmat, -epsilon, out=out)
+    return np.exp(weights, out=weights)
 
 
 def default_epsilon(dmat: np.ndarray) -> float:
@@ -139,11 +137,11 @@ def default_epsilon(dmat: np.ndarray) -> float:
     return med
 
 
-def stationary_distribution(transition: TransitionMatrix) -> StationaryDistribution:
-    """Dominant left eigenvector of A, normalized to a probability vector.
+def stationary_distribution(transition: TransitionMatrix) -> np.ndarray:
+    """Dominant left eigenvector of A, as a read-only probability vector.
 
     Detailed balance of the symmetric Gaussian kernel gives it in closed
     form: phi0 is proportional to the kernel row sums.
     """
     s = transition.kernel_row_sums
-    return StationaryDistribution(probabilities=s / s.sum())
+    return frozen_array(s / s.sum())

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import DISS_KINDS, DataSet, _point_dissimilarity, frozen_array
 from .errors import NumericalError, ValidationError
-from .markov import TransitionMatrix
+from .markov import TransitionMatrix, _gaussian_kernel
 from .spectral import SpectralDecomposition, _check_pair_index, _check_time
 
 EIGENVALUE_FLOOR = 1e-12
@@ -85,11 +85,8 @@ def _query_blocks(model: ExtensionModel, q: np.ndarray):
     """
     step = max(1, QUERY_BLOCK_ENTRIES // model.n)
     for lo in range(0, q.shape[0], step):
-        # one buffer throughout; dividing by -epsilon equals negating and
-        # then dividing, bit for bit
         weights = _point_dissimilarity(q[lo:lo + step], model.diss_kind, model.points)
-        np.divide(weights, -model.epsilon, out=weights)
-        np.exp(weights, out=weights)
+        _gaussian_kernel(weights, model.epsilon, out=weights)
         sums = weights.sum(axis=1)
         if not (sums > 0).all():
             k = lo + int(np.argmin(sums > 0))
@@ -98,15 +95,6 @@ def _query_blocks(model: ExtensionModel, q: np.ndarray):
                 "the point is too far from the training data at this epsilon"
             )
         yield slice(lo, lo + step), weights, sums
-
-
-def kernel_weights(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
-    """Convex kernel weights A(x, .) over training points, one row per query."""
-    q = _check_queries(model, new_points)
-    out = np.empty((q.shape[0], model.n))
-    for rows, weights, sums in _query_blocks(model, q):
-        np.divide(weights, sums[:, None], out=out[rows])
-    return out
 
 
 def _checked_eigenvalues(model: ExtensionModel, r: int) -> np.ndarray:
@@ -145,6 +133,5 @@ def extend_embedding(model: ExtensionModel, new_points: np.ndarray,
                      t: int, r: int) -> np.ndarray:
     """Diffusion coordinates for m new points: row k is (lambda_j^t psi_hat_j(x_k))_j."""
     t = _check_time(t)
-    r = _check_pair_index(r, model.decomposition, "embedding dimension r")
     psi_hat = extend_eigenfunctions(model, new_points, r)
     return psi_hat * (model.decomposition.eigenvalues[:r] ** t)[None, :]

@@ -112,7 +112,7 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
         sym *= transition.kernel
         pairs = _eigh_pairs(sym, r + 1)
     eigvals, eigvecs = pairs
-    phi0 = stationary_distribution(transition).probabilities
+    phi0 = stationary_distribution(transition)
     total = s.sum()
     # back-scaled, the dropped top vector must be the constant 1
     top = eigvecs[:, 0] * np.sqrt(total) / sqrt_s

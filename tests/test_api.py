@@ -6,11 +6,11 @@ import inspect
 import pytest
 
 import sca
-from sca import markov, nystrom, regression, spectral, synthetic
+from sca import cli, markov, nystrom, regression, spectral, synthetic
 
 
 def test_every_exported_name_resolves():
-    assert len(sca.__all__) == len(set(sca.__all__)) == 34
+    assert len(sca.__all__) == len(set(sca.__all__)) == 33
     for name in sca.__all__:
         assert getattr(sca, name) is not None, name
 
@@ -20,9 +20,14 @@ def test_every_exported_name_resolves():
     (spectral, "diffusion_distance_matrix"),
     (regression, "pca_scores"),
     (nystrom, "extend_eigenfunction"),
+    (nystrom, "kernel_weights"),
+    (markov, "StationaryDistribution"),
+    (cli, "config_argv"),
 ])
 def test_moved_and_deleted_names_are_gone(module, name):
-    # the oracles live in tests/_oracles.py; extend_eigenfunction is deleted
+    # the oracles live in tests/_oracles.py and config_argv in
+    # tests/test_cli.py; extend_eigenfunction, kernel_weights and
+    # StationaryDistribution are deleted
     assert not hasattr(module, name)
     assert not hasattr(sca, name)
     assert name not in sca.__all__

@@ -14,7 +14,7 @@ import pytest
 
 import sca
 from sca import cli, synthetic
-from sca.cli import config_argv, main
+from sca.cli import main
 from sca.dataset import (
     Dissimilarity, load_dataset, pairwise_dissimilarity, parse_table, read_table,
 )
@@ -75,6 +75,39 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     assert "malformed row 1" in capsys.readouterr().err
 
 
+def test_output_path_that_is_a_directory_exits_1_and_leaves_no_temporary(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    assert main(["gen", "--kind", "swiss-roll", "--n", "10", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
+def test_response_that_is_the_id_column_exits_1(tmp_path, capsys):
+    data = _gen(tmp_path)
+    code = main(["regress", "--input", str(data), "--response", "id", "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: column 'id' cannot be both the id and a response\n")
+
+
+def test_table_without_feature_columns_exits_1(tmp_path, capsys):
+    data = tmp_path / "labels.csv"
+    data.write_text("id,response\na,1\nb,2\nc,3\n")
+    code = main(["regress", "--input", str(data), "--response", "response", "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no feature columns remain after id/response\n"
+
+
+def test_cell_beyond_the_csv_field_limit_exits_1(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text("x0,x1\n1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n")
+    assert main(["embed", "--input", str(data)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed table: field larger than")
+
+
 def test_kernel_underflow_exits_2_naming_row(tmp_path, capsys):
     data = tmp_path / "far.csv"
     data.write_text("a\n0\n1\n1000000\n")
@@ -97,6 +130,17 @@ def test_gen_and_embed_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _config_argv(config: dict):
+    """Rebuild the argv that reproduces a recorded config's run."""
+    config = dict(config)
+    argv = [config.pop("subcommand")]
+    for key, value in config.items():
+        if value is None:
+            continue
+        argv.extend([f"--{key.replace('_', '-')}", str(value)])
+    return argv
+
+
 def _rerun_recorded_config(argv, paths):
     """Run argv, then the argv rebuilt from the config recorded in the last
     of ``paths`` (a sidecar, or a JSON output that embeds its config); every
@@ -106,7 +150,7 @@ def _rerun_recorded_config(argv, paths):
     config = json.loads(paths[-1].read_text())["config"]
     for path in paths:
         path.unlink()
-    assert main(config_argv(config)) == 0
+    assert main(_config_argv(config)) == 0
     assert [path.read_bytes() for path in paths] == original
     return config
 
@@ -144,7 +188,7 @@ def test_sidecar_round_trip_reproduces_output(tmp_path):
         files("proto.prototypes.csv", "proto.assignments.csv", "proto.centroids.csv",
               "proto.meta.json"))
     assert config["epsilon"] == 5.0 and "epsilon_value" not in config
-    assert "--epsilon" in config_argv(config)
+    assert "--epsilon" in _config_argv(config)
     # observations: the prototype spectra without their two label columns
     rows = [row.split(",") for row in (tmp_path / "proto.prototypes.csv").read_text().splitlines()]
     obs.write_text("".join(",".join([row[0], *row[3:]]) + "\n" for row in rows))

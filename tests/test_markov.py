@@ -207,14 +207,15 @@ def test_default_epsilon_nan_entry_rejected(n):
 def test_stationary_uniform_chain():
     t = build_transition(np.zeros((2, 2)), epsilon=1.0)
     phi0 = stationary_distribution(t)
-    np.testing.assert_array_equal(phi0.probabilities, [0.5, 0.5])
+    np.testing.assert_array_equal(phi0, [0.5, 0.5])
+    assert not phi0.flags.writeable
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_stationary_left_eigenvector_residual(seed):
     data = gaussian_dataset(18, 3, seed)
     _, t, _ = pipeline(data)
-    phi0 = stationary_distribution(t).probabilities
+    phi0 = stationary_distribution(t)
     assert phi0.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.abs(phi0 @ t.matrix - phi0).max() <= 1e-10
 
@@ -222,7 +223,7 @@ def test_stationary_left_eigenvector_residual(seed):
 def test_stationary_matches_matrix_power_oracle():
     data = gaussian_dataset(10, 2, 4)
     _, t, _ = pipeline(data)
-    phi0 = stationary_distribution(t).probabilities
+    phi0 = stationary_distribution(t)
     row = np.linalg.matrix_power(t.matrix, 512)[0]
     oracle = row / row.sum()
     assert np.abs(phi0 - oracle).max() <= 1e-8
@@ -231,15 +232,15 @@ def test_stationary_matches_matrix_power_oracle():
 def test_power_iteration_matches_closed_form():
     data = gaussian_dataset(16, 3, 6)
     _, t, _ = pipeline(data)
-    closed = stationary_distribution(t).probabilities
-    power = power_stationary(t).probabilities
+    closed = stationary_distribution(t)
+    power = power_stationary(t)
     assert np.abs(power / closed - 1.0).max() <= 1e-10
 
 
 def test_stationary_strictly_positive():
     data = gaussian_dataset(12, 2, 10)
     _, t, _ = pipeline(data)
-    assert stationary_distribution(t).probabilities.min() > 0
+    assert stationary_distribution(t).min() > 0
 
 
 def test_power_iteration_budget_error():

@@ -37,7 +37,7 @@ def test_kernel_chain_and_stationary_law(cloud):
     assert (w > 0).all()
     a = transition.matrix
     assert np.abs(a.sum(axis=1) - 1.0).max() <= 1e-12
-    phi0 = stationary_distribution(transition).probabilities
+    phi0 = stationary_distribution(transition)
     assert np.abs(phi0 @ a - phi0).max() <= 1e-12
 
 
@@ -49,6 +49,6 @@ def test_decompose_pairs_are_phi0_orthonormal_eigenpairs(cloud):
     psi, lam = dec.eigenvectors, dec.eigenvalues
     residual = transition.matrix @ psi - psi * lam[None, :]
     assert np.linalg.norm(residual, axis=0).max() <= 1e-10
-    phi0 = stationary_distribution(transition).probabilities
+    phi0 = stationary_distribution(transition)
     gram = (psi * phi0[:, None]).T @ psi
     assert np.abs(gram - np.eye(lam.size)).max() <= 1e-9

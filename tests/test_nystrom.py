@@ -14,11 +14,11 @@ from sca.nystrom import (
     build_extension,
     extend_eigenfunctions,
     extend_embedding,
-    kernel_weights,
 )
 from sca.spectral import SpectralDecomposition, decompose, embed
 from sca.synthetic import GeneratorSpec, generate
 
+from _oracles import kernel_weights
 from _util import full_pipeline, gaussian_dataset, healthy_rank
 
 
@@ -111,15 +111,6 @@ def test_permuting_training_order_leaves_extension_unchanged():
     assert np.abs(a - b).max() <= 1e-12
 
 
-def test_kernel_weights_are_convex():
-    data = gaussian_dataset(11, 2, 4)
-    _, _, _, ext = full_pipeline(data)
-    queries = np.random.default_rng(7).normal(size=(5, 2)) * 2.0
-    weights = kernel_weights(ext, queries)
-    assert weights.min() >= 0
-    assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
-
-
 def test_extension_is_continuous_along_a_path():
     data = gaussian_dataset(12, 2, 8)
     _, dec, _, ext = full_pipeline(data)
@@ -142,7 +133,7 @@ def test_far_query_underflow_raises():
     _, _, _, ext = full_pipeline(data)
     # squared distance ~1e8 against a bandwidth of a few: every weight underflows
     with pytest.raises(NumericalError, match="query point 0"):
-        kernel_weights(ext, data.points.max(axis=0).reshape(1, -1) + 1e4)
+        extend_eigenfunctions(ext, data.points.max(axis=0).reshape(1, -1) + 1e4, 1)
 
 
 @pytest.mark.filterwarnings("error")  # the overflow is reported as an error, not a warning
@@ -152,7 +143,7 @@ def test_overflowing_query_distances_raise(diss_kind):
     data = gaussian_dataset(10, 2, 9)
     ext = full_pipeline(data, diss_kind=diss_kind)[3]
     with pytest.raises(NumericalError, match="query point 1"):
-        kernel_weights(ext, np.array([[0.0, 0.0], [1e200, 0.0]]))
+        extend_eigenfunctions(ext, np.array([[0.0, 0.0], [1e200, 0.0]]), 1)
 
 
 def test_table_dissimilarity_cannot_extend():
@@ -178,23 +169,37 @@ def test_kernel_weights_bitwise_equal_to_out_of_place_expression(diss_kind):
     dists = kernels.cross_sq_dists(q, ext.points)
     if diss_kind == "euclidean":
         dists = np.sqrt(dists)
-    weights = np.exp(-dists / ext.epsilon)
-    expected = weights / weights.sum(axis=1)[:, None]
-    np.testing.assert_array_equal(kernel_weights(ext, q), expected)
+    expected = np.exp(-dists / ext.epsilon)
+    [(_, weights, sums)] = nystrom._query_blocks(ext, q)
+    np.testing.assert_array_equal(weights, expected)
+    np.testing.assert_array_equal(sums, expected.sum(axis=1))
+
+
+@pytest.mark.parametrize("diss_kind", ["sqeuclidean", "euclidean"])
+def test_query_at_training_points_gets_the_training_kernel_rows(diss_kind, monkeypatch):
+    data = gaussian_dataset(40, 3, 26)
+    transition, _, _, ext = full_pipeline(data, diss_kind=diss_kind)
+    # blocks of 7 rows, the last one partial
+    monkeypatch.setattr(nystrom, "QUERY_BLOCK_ENTRIES", 7 * ext.n)
+    blocks = list(nystrom._query_blocks(ext, data.points))
+    assert len(blocks) == 6
+    for rows, weights, sums in blocks:
+        np.testing.assert_array_equal(weights, transition.kernel[rows])
+        np.testing.assert_array_equal(sums, transition.kernel_row_sums[rows])
 
 
 def test_query_dimension_mismatch():
     data = gaussian_dataset(9, 2, 12)
     _, _, _, ext = full_pipeline(data)
     with pytest.raises(ValidationError, match="m x 2"):
-        kernel_weights(ext, np.zeros((1, 3)))
+        extend_eigenfunctions(ext, np.zeros((1, 3)), 1)
 
 
 def test_nan_query_rejected():
     data = gaussian_dataset(9, 2, 12)
     _, _, _, ext = full_pipeline(data)
     with pytest.raises(ValidationError, match="query points contain non-finite"):
-        kernel_weights(ext, np.array([[0.0, 0.0], [0.0, np.nan]]))
+        extend_eigenfunctions(ext, np.array([[0.0, 0.0], [0.0, np.nan]]), 1)
 
 
 def test_build_extension_rejects_sizes_that_disagree():

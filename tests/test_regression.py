@@ -255,6 +255,21 @@ def test_mismatched_embedding_and_extension_rejected():
         fit(labeled, emb_a, ext_b, folds=4, seed=0)
 
 
+def test_embedding_of_another_decomposition_rejected():
+    data, _, emb, ext = _healthy_setup(12, 2, 11)
+    labeled = _with_response(data, data.points[:, 0])
+    other = full_pipeline(data, epsilon=2 * ext.epsilon)[1]
+    with pytest.raises(ValidationError, match="different decompositions"):
+        fit(labeled, embed(other, 1, emb.r), ext, folds=4, seed=0)
+
+
+def test_refit_on_a_repeated_column_is_rank_deficient():
+    rng = np.random.default_rng(14)
+    column = rng.normal(size=10)
+    with pytest.raises(NumericalError, match=r"rank-deficient at p=2 \(rank 2 < 3\)"):
+        _refit(np.column_stack([column, column]), rng.normal(size=10), 2)
+
+
 def test_pca_scores_are_centered_svd_scores():
     pts = np.random.default_rng(13).normal(size=(30, 3)) * [3.0, 1.0, 0.2]
     scores = pca_scores(pts)

@@ -76,7 +76,7 @@ def test_eigenvalues_descending_and_bounded():
 def test_phi0_weighted_orthonormality():
     data = gaussian_dataset(18, 2, 4)
     _, t, s = pipeline(data)
-    phi0 = stationary_distribution(t).probabilities
+    phi0 = stationary_distribution(t)
     gram = (s.eigenvectors * phi0[:, None]).T @ s.eigenvectors
     assert np.abs(gram - np.eye(data.n - 1)).max() <= 1e-9
 
@@ -298,7 +298,7 @@ def _assert_matches_oracle(transition, dec):
     residual = transition.matrix @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
     assert np.abs(residual).max() <= 1e-10
     # |cos| in the phi0 inner product, for pairs separated from both neighbours
-    phi0 = stationary_distribution(transition).probabilities
+    phi0 = stationary_distribution(transition)
     cos = np.abs(np.sum(dec.eigenvectors * psi[:, :r] * phi0[:, None], axis=0))
     spectrum = np.concatenate([[1.0], lam, [-np.inf]])
     gaps = np.minimum(spectrum[:r] - spectrum[1:r + 1], spectrum[1:r + 1] - spectrum[2:r + 2])
