@@ -2,13 +2,14 @@
 prototype | fit-mixture | bench-quantization.
 
 Every run resolves its flags (including defaults) into a config dict,
-writes data as CSV with a JSON sidecar carrying that config (or, for
+returns data as CSV with a JSON sidecar carrying that config (or, for
 fit-mixture and bench-quantization, one JSON file with it inline), and
-writes all files atomically.  Exit status: 0 success, 1 validation
-error, 2 numerical failure.
+``main`` writes a run's files all or none.  Exit status: 0 success, 1
+validation error, 2 numerical failure.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -42,20 +43,40 @@ from .spectral import SpectralDecomposition, decompose, embed
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _write_bytes_atomic(path, data: bytes) -> None:
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=f".{path.name}.", suffix=".tmp")
+def _write_files(files) -> None:
+    """Put a run's (path, bytes) pairs on disk, all or none.
+
+    Every path is checked first: an existing directory, or two outputs
+    that resolve to one file, is a ValidationError.  Each file is written
+    to a temporary file beside its path, and all are renamed into place
+    only once every one is written.  On any failure every temporary file
+    is deleted, and an OSError names the output path, never a temporary one.
+    """
+    seen = {}
+    for path, _ in files:
+        if os.path.isdir(path):
+            raise ValidationError(f"output {path} is a directory")
+        if (key := os.path.realpath(path)) in seen:
+            raise ValidationError(f"outputs {seen[key]} and {path} are the same file")
+        seen[key] = path
+    temps = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for path, data in files:
+            folder = os.path.dirname(path) or "."
+            if not os.path.exists(folder):
+                os.makedirs(folder)
+            fd, tmp = tempfile.mkstemp(".tmp", f".{os.path.basename(path)}.", folder)
+            temps.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -81,10 +102,8 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _write_sidecar(out_path, config: dict, info: dict) -> None:
-    _write_bytes_atomic(str(out_path) + ".meta.json", _json_bytes(
-        {"config": config, "info": info}
-    ))
+def _sidecar(out_path, config: dict, info: dict):
+    return str(out_path) + ".meta.json", _json_bytes({"config": config, "info": info})
 
 
 def _config(args, **resolved) -> dict:
@@ -135,7 +154,7 @@ def _psi_header(r: int):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     spec = synthetic.GeneratorSpec(
         kind=args.kind, n=args.n, noise_sd=args.noise_sd, seed=args.seed,
         n_families=args.n_families, n_bins=args.bins,
@@ -154,9 +173,7 @@ def _cmd_gen(args) -> int:
         values = np.column_stack([result.ages, result.metallicities, result.spectra])
         info = {"n": result.n_components, "bins": result.n_bins,
                 "ref_index": result.ref_index}
-    _write_bytes_atomic(args.out, _csv_bytes(header, [ids], values))
-    _write_sidecar(args.out, _config(args), info)
-    return 0
+    return [(args.out, _csv_bytes(header, [ids], values)), _sidecar(args.out, _config(args), info)]
 
 
 # Entries of a model archive: name -> (dtype kind, ndim).  The regression
@@ -172,9 +189,9 @@ _REGRESSION_ENTRIES = {
 }
 
 
-def _save_model(path, extension: ExtensionModel, t: int, pairs: int,
-                regression: EigenbasisRegression = None, response_column=None) -> None:
-    """Write a model archive: one .npz of every array and scalar a loader reads.
+def _model_bytes(extension: ExtensionModel, t: int, pairs: int,
+                 regression: EigenbasisRegression = None, response_column=None) -> bytes:
+    """A model archive: one .npz of every array and scalar a loader reads.
 
     Only the leading ``pairs`` nontrivial eigenpairs are stored.
     """
@@ -188,7 +205,7 @@ def _save_model(path, extension: ExtensionModel, t: int, pairs: int,
                        seed=regression.seed, response_column=response_column)
     buf = io.BytesIO()
     np.savez(buf, **entries)
-    _write_bytes_atomic(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _load_model(path):
@@ -260,7 +277,7 @@ def _read_input(args):
     return table, table.default_id(args.id_column)
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args):
     if args.save_model and args.diss.startswith("table:"):
         raise ValidationError(f"--save-model needs a dissimilarity computable at new points; "
                               f"--diss {args.diss} has no values for unseen points")
@@ -276,15 +293,15 @@ def _cmd_embed(args) -> int:
         "n": data.n, "d": data.d,
         "eigenvalues": decomposition.eigenvalues[:r].tolist(),
     }
-    _write_bytes_atomic(out, _csv_bytes(_psi_header(r), [data.ids], embedding.coords))
-    _write_sidecar(out, config, info)
+    files = [(out, _csv_bytes(_psi_header(r), [data.ids], embedding.coords)),
+             _sidecar(out, config, info)]
     if args.save_model:
-        _save_model(args.save_model, extension, args.t, r)
-        _write_sidecar(args.save_model, config, {"n": data.n, "d": data.d, "pairs": r})
-    return 0
+        files += [(args.save_model, _model_bytes(extension, args.t, r)),
+                  _sidecar(args.save_model, config, {"n": data.n, "d": data.d, "pairs": r})]
+    return files
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args):
     model, stored_t, _, _ = _load_model(args.model)
     table, id_column = _read_input(args)
     points, ids, _ = read_table(table, response_column=args.response,
@@ -295,12 +312,11 @@ def _cmd_extend(args) -> int:
     out = args.out or _derived_out(args.input, ".extended.csv")
     info = {"n": len(ids), "d": points.shape[1], "epsilon": model.epsilon,
             "diss_kind": model.diss_kind}
-    _write_bytes_atomic(out, _csv_bytes(_psi_header(r), [ids], coords))
-    _write_sidecar(out, _config(args, t=t, r=r, id_column=id_column, out=out), info)
-    return 0
+    return [(out, _csv_bytes(_psi_header(r), [ids], coords)),
+            _sidecar(out, _config(args, t=t, r=r, id_column=id_column, out=out), info)]
 
 
-def _cmd_regress(args) -> int:
+def _cmd_regress(args):
     table, id_column = _read_input(args)
     data = load_dataset(table, response_column=args.response, id_column=id_column)
     transition, decomposition, embedding = _embedding_pipeline(args, data, 1)
@@ -311,18 +327,15 @@ def _cmd_regress(args) -> int:
     config = _config(args, r=embedding.r, epsilon=transition.epsilon, id_column=id_column,
                      out_model=out_model, out_predictions=out_preds)
     # t is stored only as the default ``extend`` uses on this model
-    _save_model(out_model, extension, 1, model.p, model, args.response)
-    _write_sidecar(out_model, config, {
-        "n": data.n, "p": model.p,
-        "risk_curve": risk_curve(model),
-    })
-    _write_bytes_atomic(out_preds, _csv_bytes(["id", "prediction"], [data.ids],
-                                              fitted_values(model)[:, None]))
-    _write_sidecar(out_preds, config, {"p": model.p, "n": data.n})
-    return 0
+    return [(out_model, _model_bytes(extension, 1, model.p, model, args.response)),
+            _sidecar(out_model, config, {"n": data.n, "p": model.p,
+                                         "risk_curve": risk_curve(model)}),
+            (out_preds, _csv_bytes(["id", "prediction"], [data.ids],
+                                   fitted_values(model)[:, None])),
+            _sidecar(out_preds, config, {"p": model.p, "n": data.n})]
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args):
     _, _, model, response_column = _load_model(args.model)
     if model is None:
         raise ValidationError(f"model {args.model} has no regression entries; "
@@ -334,13 +347,12 @@ def _cmd_predict(args) -> int:
     points, ids, _ = read_table(table, response_column=drop, id_column=id_column)
     preds = predict(model, points)
     out = args.out or _derived_out(args.input, ".predictions.csv")
-    _write_bytes_atomic(out, _csv_bytes(["id", "prediction"], [ids], preds[:, None]))
-    _write_sidecar(out, _config(args, id_column=id_column, out=out),
-                   {"n": len(ids), "p": model.p})
-    return 0
+    return [(out, _csv_bytes(["id", "prediction"], [ids], preds[:, None])),
+            _sidecar(out, _config(args, id_column=id_column, out=out),
+                     {"n": len(ids), "p": model.p})]
 
 
-def _cmd_prototype(args) -> int:
+def _cmd_prototype(args):
     lib = load_component_library(args.input, ref_index=args.ref_index)
     proto = diffusion_kmeans(lib, args.k, t=args.t, r=args.r, seed=args.seed,
                              epsilon=_resolve_epsilon(args.epsilon))
@@ -352,21 +364,21 @@ def _cmd_prototype(args) -> int:
     proto_header = ["id", "mean_log_age", "mean_log_met"] + \
         [f"b{k}" for k in range(lib.n_bins)]
     clusters = range(proto.k)
-    _write_bytes_atomic(out_protos, _csv_bytes(proto_header, [clusters], np.column_stack(
-        [proto.log_ages, proto.log_metallicities, proto.prototypes])))
     coord_cols = [f"c_{j}" for j in range(1, r + 1)]
-    _write_bytes_atomic(out_assign, _csv_bytes(
-        ["id", "cluster"] + coord_cols,
-        [range(lib.n_components), proto.member_assignments.tolist()],
-        proto.member_coords_diffusion))
-    _write_bytes_atomic(out_centroids, _csv_bytes(["cluster"] + coord_cols, [clusters],
-                                                  proto.centroids_diffusion))
-    _write_sidecar(prefix, _config(args, r=r, epsilon=proto.epsilon, out_prefix=prefix), {
-        "n_components": lib.n_components,
-        "wcss_history": list(proto.wcss_history),
-        "outputs": [out_protos, out_assign, out_centroids],
-    })
-    return 0
+    return [
+        (out_protos, _csv_bytes(proto_header, [clusters], np.column_stack(
+            [proto.log_ages, proto.log_metallicities, proto.prototypes]))),
+        (out_assign, _csv_bytes(["id", "cluster"] + coord_cols,
+                                [range(lib.n_components), proto.member_assignments.tolist()],
+                                proto.member_coords_diffusion)),
+        (out_centroids, _csv_bytes(["cluster"] + coord_cols, [clusters],
+                                   proto.centroids_diffusion)),
+        _sidecar(prefix, _config(args, r=r, epsilon=proto.epsilon, out_prefix=prefix), {
+            "n_components": lib.n_components,
+            "wcss_history": list(proto.wcss_history),
+            "outputs": [out_protos, out_assign, out_centroids],
+        }),
+    ]
 
 
 def _load_prototypes_csv(path) -> PrototypeSet:
@@ -378,7 +390,7 @@ def _load_prototypes_csv(path) -> PrototypeSet:
     return PrototypeSet(prototypes=protos, log_ages=log_ages, log_metallicities=log_mets)
 
 
-def _cmd_fit_mixture(args) -> int:
+def _cmd_fit_mixture(args):
     proto = _load_prototypes_csv(args.prototypes)
     table, id_column = _read_input(args)
     points, ids, _ = read_table(table, id_column=id_column)
@@ -393,19 +405,16 @@ def _cmd_fit_mixture(args) -> int:
             "mean_log_age": result.mean_log_age,
             "mean_log_met": result.mean_log_met,
         })
-    config = _config(args, id_column=id_column, out=out)
-    _write_bytes_atomic(out, _json_bytes({"config": config, "fits": fits}))
-    return 0
+    return [(out, _json_bytes({"config": _config(args, id_column=id_column, out=out),
+                               "fits": fits}))]
 
 
-def _cmd_bench_quantization(args) -> int:
+def _cmd_bench_quantization(args):
     lib = load_component_library(args.input, ref_index=args.ref_index)
     report = quantization_benchmark(lib, args.k, args.trials, args.noise,
                                     args.seed, t=args.t, r=args.r)
     out = args.out or _derived_out(args.input, ".bench.json")
-    _write_bytes_atomic(out, _json_bytes({"config": _config(args, out=out),
-                                          "report": report.to_dict()}))
-    return 0
+    return [(out, _json_bytes({"config": _config(args, out=out), "report": report.to_dict()}))]
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +534,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        _write_files(args.func(args))
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -80,9 +80,80 @@ def test_output_path_that_is_a_directory_exits_1_and_leaves_no_temporary(tmp_pat
     out.mkdir()
     assert main(["gen", "--kind", "swiss-roll", "--n", "10", "--seed", "1",
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(out) in err and ".tmp" not in err
     assert list(tmp_path.iterdir()) == [out]
     assert list(out.iterdir()) == []
+
+
+_EMBED = ["embed", "--input", "d.csv", "--response", "response", "--r", "3"]
+_REGRESS = ["regress", "--input", "d.csv", "--response", "response", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (_EMBED + ["--out", "c.csv", "--save-model", "m.npz"], "m.npz"),
+    (_REGRESS + ["--out-predictions", "f.csv"], "f.csv"),
+    (["prototype", "--input", "lib.csv", "--k", "3", "--seed", "1", "--out-prefix", "lib"],
+     "lib.centroids.csv"),
+], ids=["embed", "regress", "prototype"])
+def test_failing_multi_file_run_writes_no_file(tmp_path, capsys, monkeypatch, argv, blocked):
+    # one output is an existing directory, so none of the run's files may appear
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path)
+    assert main(["gen", "--kind", "degenerate-components", "--n", "20", "--seed", "7",
+                 "--out", "lib.csv"]) == 0
+    (tmp_path / blocked).mkdir()
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: output {blocked} is a directory\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert list((tmp_path / blocked).iterdir()) == []
+
+
+def test_write_error_names_the_output_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the model's folder is a file: the paths pass the checks, and the model's
+    # temporary file cannot be made after the coordinates' one was written
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(_EMBED + ["--out", "c.csv", "--save-model", "d.csv/m.npz"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(": 'd.csv/m.npz'\n")
+    assert ".tmp" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_failing_run_keeps_the_earlier_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path)
+    assert main(_EMBED + ["--out", "c.csv"]) == 0
+    earlier = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    (tmp_path / "m.npz").mkdir()
+    # a different r, so an overwritten c.csv could not read the same
+    assert main(["embed", "--input", "d.csv", "--response", "response", "--r", "4",
+                 "--out", "c.csv", "--save-model", "m.npz"]) == 1
+    assert "error: output m.npz is a directory" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == earlier
+
+
+@pytest.mark.parametrize("argv, first, second", [
+    (_REGRESS + ["--out-model", "x", "--out-predictions", "x"], "x", "x"),
+    (_EMBED + ["--out", "./z.npz", "--save-model", "z.npz"], "./z.npz", "z.npz"),
+    # the predictions take the model's sidecar path
+    (_REGRESS + ["--out-model", "q.csv", "--out-predictions", "q.csv.meta.json"],
+     "q.csv.meta.json", "q.csv.meta.json"),
+], ids=["regress-same-path", "embed-same-file", "regress-sidecar"])
+def test_two_outputs_in_one_file_exit_1(tmp_path, capsys, monkeypatch, argv, first, second):
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: outputs {first} and {second} are the same file\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_response_that_is_the_id_column_exits_1(tmp_path, capsys):
