@@ -48,9 +48,11 @@ def _write_files(files) -> None:
 
     Every path is checked first: an existing directory, or two outputs
     that resolve to one file, is a ValidationError.  Each file is written
-    to a temporary file beside its path, and all are renamed into place
-    only once every one is written.  On any failure every temporary file
-    is deleted, and an OSError names the output path, never a temporary one.
+    to a temporary file beside its path, given the mode the umask allows
+    a new file, and all are renamed into place only once every one is
+    written.  On any failure every temporary file, and every folder the
+    run created, is deleted, and an OSError names the output path, never
+    a temporary one.
     """
     seen = {}
     for path, _ in files:
@@ -59,22 +61,31 @@ def _write_files(files) -> None:
         if (key := os.path.realpath(path)) in seen:
             raise ValidationError(f"outputs {seen[key]} and {path} are the same file")
         seen[key] = path
-    temps = []
+    umask = os.umask(0)   # the umask is read by setting it
+    os.umask(umask)
+    temps, made = [], []
     try:
         for path, data in files:
-            folder = os.path.dirname(path) or "."
-            if not os.path.exists(folder):
+            folder = parent = os.path.dirname(path) or "."
+            while parent and not os.path.exists(parent):
+                made.append(parent)
+                parent = os.path.dirname(parent)
+            if parent != folder:
                 os.makedirs(folder)
             fd, tmp = tempfile.mkstemp(".tmp", f".{os.path.basename(path)}.", folder)
             temps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
+            os.chmod(tmp, 0o666 & ~umask)
         for (path, _), tmp in zip(files, temps):
             os.replace(tmp, path)
     except BaseException as exc:
         for tmp in temps:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+        for folder in sorted(made, key=len, reverse=True):   # children first
+            with contextlib.suppress(OSError):
+                os.rmdir(folder)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise

@@ -9,6 +9,7 @@ has no place here: on lambda_j^t psi_j it would only add rounding.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,17 @@ class EigenbasisRegression:
     def p(self) -> int:
         """Number of eigenvectors in the fit."""
         return self.coefficients.size
+
+    @cached_property
+    def _folded(self) -> np.ndarray:
+        """v = psi[:, :p] @ (coefficients / lambda[:p]), the fit as one n-vector.
+
+        Computed on first use, after the eigenvalue-floor check, which
+        raises again on every use until it passes.
+        """
+        lams = _checked_eigenvalues(self.extension, self.p)
+        return frozen_array(
+            self.extension.decomposition.eigenvectors[:, :self.p] @ (self.coefficients / lams))
 
 
 def kfold_indices(n: int, folds: int, seed: int):
@@ -136,13 +148,13 @@ def predict(model: EigenbasisRegression, new_points: np.ndarray) -> np.ndarray:
     With psi_hat_j(x) = sum_i A(x, x_i) psi_j(x_i) / lambda_j this is
     intercept + sum_i w_i v_i / sum_i w_i, where w_i = exp(-D(x, x_i)/eps)
     and v = psi[:, :p] @ (coefficients / lambda[:p]) folds the fit into one
-    n-vector: O(n d) per query.  Each answer is an elementwise product and
-    a row sum, so it does not depend on how the queries are batched.
+    n-vector, computed once per model: O(n d) per query.  Each answer is an
+    elementwise product and a row sum, so it does not depend on how the
+    queries are batched.
     """
     ext = model.extension
-    lams = _checked_eigenvalues(ext, model.p)
+    v = model._folded
     q = _check_queries(ext, new_points)
-    v = ext.decomposition.eigenvectors[:, :model.p] @ (model.coefficients / lams)
     out = np.empty(q.shape[0])
     for rows, weights, sums in _query_blocks(ext, q):
         weights *= v

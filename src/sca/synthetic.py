@@ -1,8 +1,8 @@
 """Deterministic generators for test manifolds and component libraries.
 
-Each generator is a pure function of its spec.  Noise is drawn from a
-generator keyed by (seed, point index), so per-point values do not
-depend on generation order or on how many points follow.
+Each generator is a pure function of its spec.  Point i draws from its
+own stream, ``np.random.default_rng([seed, i])``, so per-point values do
+not depend on generation order or on how many points follow.
 """
 
 import math
@@ -53,25 +53,108 @@ class GeneratorSpec:
                 f"separation must be finite and nonnegative, got {self.separation}")
 
 
-def _point_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+# numpy's SeedSequence hash with its 4-word pool, and PCG64's multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_STREAM_CHUNK = 4096   # indices hashed per vectorized pass
+
+
+def _hash_constants(init: int, mult: int):
+    """The (xor, multiplier) pair of each successive hashmix call."""
+    h = init
+    while True:
+        following = h * mult & _MASK32
+        yield np.uint32(h), np.uint32(following)
+        h = following
+
+
+def _hashmix(value: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_words(seed: int, indices: np.ndarray) -> list:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for each
+    uint32 index i, as four uint64 arrays.
+
+    The entropy is seed's 32-bit words, low first ([0] for 0), then i's
+    one word; pool words beyond it hash a zero, and words beyond the pool
+    (seeds of 2**96 and up) get numpy's extra mixing pass.
+    """
+    entropy = []
+    while True:
+        entropy.append(np.full(indices.size, seed & _MASK32, np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(indices)
+    zero = np.zeros(indices.size, np.uint32)
+    with np.errstate(over="ignore"):
+        constants = _hash_constants(_INIT_A, _MULT_A)
+        pool = [_hashmix(entropy[j] if j < len(entropy) else zero, constants)
+                for j in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+        constants = _hash_constants(_INIT_B, _MULT_B)
+        state = [_hashmix(pool[j % 4], constants).astype(np.uint64) for j in range(8)]
+    return [state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)]
+
+
+def _point_rngs(seed: int, n: int):
+    """Point i's stream, ``np.random.default_rng([seed, i])``, for i < n.
+
+    Yields one reused Generator, reseeded for each i with the PCG64 state
+    that seed list gives: the seed words come from a vectorized pass over
+    a chunk of indices, and PCG64's seeding (two LCG steps) runs on Python
+    ints.  Draw from each before taking the next.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for start in range(0, n, _STREAM_CHUNK):
+        # a point index fits one 32-bit word: n rows could not be allocated otherwise
+        indices = np.arange(start, min(start + _STREAM_CHUNK, n), dtype=np.uint32)
+        for w0, w1, w2, w3 in zip(*(w.tolist() for w in _seed_words(seed, indices))):
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
 
 
 def _swiss_roll(spec: GeneratorSpec) -> DataSet:
     points = np.empty((spec.n, 3))
     response = np.empty(spec.n)
-    for i in range(spec.n):
-        rng = _point_rng(spec.seed, i)
+    sd = spec.noise_sd
+    for i, rng in enumerate(_point_rngs(spec.seed, spec.n)):
         u = rng.random()
         v = rng.random()
-        noise = rng.normal(size=3)
+        n0, n1, n2 = rng.normal(size=3).tolist()
         theta = 1.5 * math.pi * (1.0 + 2.0 * u)
+        # one rounded product and sum per coordinate, as an array += would give
         points[i] = (
-            theta * math.cos(theta),
-            SWISS_ROLL_HEIGHT * v,
-            theta * math.sin(theta),
+            theta * math.cos(theta) + sd * n0,
+            SWISS_ROLL_HEIGHT * v + sd * n1,
+            theta * math.sin(theta) + sd * n2,
         )
-        points[i] += spec.noise_sd * noise
         # arc length of the spiral rho = theta from 0 to theta
         response[i] = 0.5 * (theta * math.hypot(1.0, theta) + math.asinh(theta))
     return DataSet(points=points, ids=tuple(str(i) for i in range(spec.n)),
@@ -81,8 +164,7 @@ def _swiss_roll(spec: GeneratorSpec) -> DataSet:
 def _noisy_circle(spec: GeneratorSpec) -> DataSet:
     points = np.empty((spec.n, 2))
     response = np.empty(spec.n)
-    for i in range(spec.n):
-        rng = _point_rng(spec.seed, i)
+    for i, rng in enumerate(_point_rngs(spec.seed, spec.n)):
         noise = rng.normal(size=2)
         angle = 2.0 * math.pi * i / spec.n
         points[i] = (math.cos(angle), math.sin(angle))
@@ -95,8 +177,7 @@ def _noisy_circle(spec: GeneratorSpec) -> DataSet:
 def _line_chain(spec: GeneratorSpec) -> DataSet:
     points = np.empty((spec.n, 1))
     response = np.empty(spec.n)
-    for i in range(spec.n):
-        rng = _point_rng(spec.seed, i)
+    for i, rng in enumerate(_point_rngs(spec.seed, spec.n)):
         noise = rng.normal(size=1)
         position = LINE_CHAIN_LENGTH * i / (spec.n - 1)
         points[i, 0] = position + spec.noise_sd * noise[0]
@@ -121,6 +202,7 @@ def _component_families(spec: GeneratorSpec) -> ComponentLibrary:
     spectra = np.empty((spec.n, spec.n_bins))
     log_age = np.empty(spec.n)
     log_met = np.empty(spec.n)
+    streams = _point_rngs(spec.seed, spec.n)   # groups cover 0..n-1 in order
     for fam, members in enumerate(groups):
         count = len(members)
         for rank, i in enumerate(members):
@@ -129,7 +211,7 @@ def _component_families(spec: GeneratorSpec) -> ComponentLibrary:
             log_met[i] = lz_centers[fam] + 0.15 * (u - 0.5)
             slope = -1.0 + 2.0 * fam / max(spec.n_families - 1, 1) + 0.08 * (u - 0.5)
             depth = 0.15 + 0.3 * fam / max(spec.n_families - 1, 1) + 0.05 * (u - 0.5)
-            rng = _point_rng(spec.seed, int(i))
+            rng = next(streams)
             spectra[i] = _smooth_curve(grid, slope, depth)
             spectra[i] += spec.noise_sd * rng.normal(size=spec.n_bins)
     return ComponentLibrary.normalize(
@@ -151,7 +233,7 @@ def _degenerate_components(spec: GeneratorSpec) -> ComponentLibrary:
     spectra = np.empty((spec.n, spec.n_bins))
     log_age = np.empty(spec.n)
     log_met = np.empty(spec.n)
-    for i in range(spec.n):
+    for i, rng in enumerate(_point_rngs(spec.seed, spec.n)):
         young = i < n_young
         count = n_young if young else spec.n - n_young
         rank = i if young else i - n_young
@@ -166,7 +248,6 @@ def _degenerate_components(spec: GeneratorSpec) -> ComponentLibrary:
             log_age[i] = math.log(6.0) + u * (math.log(25.0) - math.log(6.0))
             log_met[i] = math.log(0.01) + u * (math.log(0.03) - math.log(0.01))
             offset = spec.separation
-        rng = _point_rng(spec.seed, i)
         spectra[i] = _smooth_curve(grid, slope, depth) + offset * bump
         spectra[i] += spec.noise_sd * rng.normal(size=spec.n_bins)
     return ComponentLibrary.normalize(

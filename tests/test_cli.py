@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import zipfile
@@ -115,15 +116,31 @@ def test_failing_multi_file_run_writes_no_file(tmp_path, capsys, monkeypatch, ar
 def test_write_error_names_the_output_and_leaves_no_file(tmp_path, capsys, monkeypatch):
     # the model's folder is a file: the paths pass the checks, and the model's
     # temporary file cannot be made after the coordinates' one was written
+    # into folders the run created
     monkeypatch.chdir(tmp_path)
     _gen(tmp_path)
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
-    assert main(_EMBED + ["--out", "c.csv", "--save-model", "d.csv/m.npz"]) == 1
+    assert main(_EMBED + ["--out", "new2/sub/c.csv", "--save-model", "d.csv/m.npz"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(": 'd.csv/m.npz'\n")
     assert ".tmp" not in err
+    assert not (tmp_path / "new2").exists()
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, "-rw-r--r--"), (0o077, "-rw-------")],
+                         ids=["umask-022", "umask-077"])
+def test_outputs_get_the_mode_the_umask_allows(tmp_path, monkeypatch, umask, mode):
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path)
+    old = os.umask(umask)
+    try:
+        assert main(_EMBED + ["--out", "c.csv", "--save-model", "m.npz"]) == 0
+    finally:
+        os.umask(old)
+    for name in ("c.csv", "c.csv.meta.json", "m.npz"):
+        assert stat.filemode((tmp_path / name).stat().st_mode) == mode
 
 
 def test_failing_run_keeps_the_earlier_output(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from sca.dataset import DataSet
 from sca.errors import ValidationError
 from sca.prototypes import ComponentLibrary
-from sca.synthetic import GeneratorSpec, generate
+from sca import synthetic
+from sca.synthetic import KINDS, GeneratorSpec, generate
 
 
 def test_noiseless_circle_four_points():
@@ -116,3 +117,33 @@ def test_invalid_specs_rejected():
 def test_non_finite_shape_parameters_rejected(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be finite and nonnegative"):
         GeneratorSpec(kind="degenerate-components", n=10, **{field: value})
+
+
+_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 11]
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_point_streams_are_default_rng_of_seed_and_index(seed):
+    chunk = synthetic._STREAM_CHUNK
+    n = 2 * chunk + 3
+    checked = {0, 1, 2, n - 1, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk}
+    for i, rng in enumerate(synthetic._point_rngs(seed, n)):
+        if i in checked:
+            want = np.random.default_rng([seed, i])
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert rng.random() == want.random()
+            assert rng.normal(size=3).tobytes() == want.normal(size=3).tobytes()
+    assert i == n - 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generators_draw_each_point_from_its_default_rng(kind, monkeypatch):
+    spec = GeneratorSpec(kind=kind, n=40, noise_sd=0.1, seed=2**64 + 3)
+    fast = generate(spec)
+    monkeypatch.setattr(synthetic, "_point_rngs", lambda seed, n: (
+        np.random.default_rng([seed, i]) for i in range(n)))
+    reference = generate(spec)
+    fields = (("points", "response") if kind in synthetic.DATASET_KINDS
+              else ("spectra", "ages", "metallicities"))
+    for field in fields:
+        assert getattr(fast, field).tobytes() == getattr(reference, field).tobytes()
