@@ -106,9 +106,13 @@ def validate_dissimilarity(values, what: str = "dissimilarity matrix") -> np.nda
     dmat = np.asarray(values, dtype=np.float64)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise ValidationError(f"{what} must be square")
-    if not np.isfinite(dmat).all():
+    # NaN carries through both reductions, -inf shows in the least entry
+    # and +inf in the largest, with no n x n temporary; the initial 0.0
+    # keeps an empty matrix valid
+    least, largest = dmat.min(initial=0.0), dmat.max(initial=0.0)
+    if not np.isfinite(least) or not np.isfinite(largest):
         raise ValidationError(f"{what} has non-finite entries")
-    if (dmat < 0).any():
+    if least < 0:
         raise ValidationError(f"{what} has negative entries")
     if (np.diag(dmat) != 0).any():
         raise ValidationError(f"{what} diagonal must be zero")

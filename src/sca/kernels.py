@@ -23,20 +23,24 @@ BLOCK_ENTRIES = 1 << 15
 
 
 def _sq_dists(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(m, n) squared distances, summed over coordinates in index order."""
+    """(m, n) squared distances, summed over coordinates in index order
+    (d >= 1).  The first square is written straight into the output: it
+    equals 0.0 + square bit for bit, as every square is at least +0.0."""
     q = np.asarray(q, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     m, d = q.shape
     n = x.shape[0]
-    out = np.zeros((m, n), dtype=np.float64)
+    out = np.empty((m, n), dtype=np.float64)
     step = max(1, BLOCK_ENTRIES // max(n, 1))
     buf = np.empty((step, n), dtype=np.float64)
     xt = np.ascontiguousarray(x.T)
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         blk = out[lo:hi]
+        np.subtract(q[lo:hi, 0, None], xt[0], out=blk)
+        np.square(blk, out=blk)
         diff = buf[:hi - lo]
-        for k in range(d):
+        for k in range(1, d):
             np.subtract(q[lo:hi, k, None], xt[k], out=diff)
             np.square(diff, out=diff)
             blk += diff

@@ -11,10 +11,11 @@ from .markov import TransitionMatrix, stationary_distribution
 # Nontrivial pairs ``decompose`` keeps when no r is given.
 DEFAULT_PAIRS = 50
 
-# Block Krylov solver: block = wanted pairs + _GUARD, basis [X, M X, M^2 X],
-# residual tolerance on the unit-norm symmetric conjugate, fixed start seed.
+# Block Krylov solver: block = wanted pairs + _GUARD, basis of at most
+# _BASIS_CAP * n columns, residual tolerance on the unit-norm symmetric
+# conjugate, fixed start seed.
 _GUARD = 8
-_DEPTH = 3
+_BASIS_CAP = 0.6
 _RESIDUAL_TOL = 1e-11
 _START_SEED = 0
 
@@ -89,7 +90,7 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
     When the Krylov basis is small next to n the leading pairs come from
     :func:`_krylov_pairs`, which applies M through W and the diagonal
     scalings and never forms it; otherwise, or when that solver does not
-    reach its tolerance within its budget, from a full ``eigh`` of M.  A
+    reach its tolerance within its basis cap, from a full ``eigh`` of M.  A
     numerically disconnected graph raises NumericalError.
     """
     n = transition.n
@@ -104,7 +105,7 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
     inv_sqrt_s = 1.0 / sqrt_s
     block = r + 1 + _GUARD
     pairs = None
-    if 2 * _DEPTH * block <= n:
+    if 6 * block <= n:
         pairs = _krylov_pairs(transition.kernel, inv_sqrt_s,
                               sqrt_s / np.linalg.norm(sqrt_s), r + 1, block)
     if pairs is None:
@@ -139,68 +140,70 @@ def _eigh_pairs(sym: np.ndarray, wanted: int):
     return eigvals[::-1][:wanted], eigvecs[:, ::-1][:, :wanted]
 
 
-def _orthonormalize(w: np.ndarray, previous) -> np.ndarray:
-    """Orthonormal basis for the columns of w with span(previous) removed.
-
-    Block Gram-Schmidt against the orthonormal blocks in ``previous``,
-    each pass followed by a Householder QR.  The second pass (DGKS)
-    works on unit columns, so a column that the first pass left at
-    rounding level (the Krylov image of a converged eigenvector is
-    nearly in ``previous``) still comes out orthogonal to ``previous``.
-    """
-    for _ in range(2):
-        for q in previous:
-            w = w - q @ (q.T @ w)
-        w = np.linalg.qr(w)[0]
-    return w
+def _widened(a: np.ndarray, shape) -> np.ndarray:
+    """``a`` copied into the leading corner of a larger column-major array."""
+    out = np.empty(shape, order="F")
+    out[:a.shape[0], :a.shape[1]] = a
+    return out
 
 
 def _krylov_pairs(kernel: np.ndarray, scale: np.ndarray, v0: np.ndarray,
                   wanted: int, block: int):
-    """Leading ``wanted`` pairs of M = diag(scale) W diag(scale) by restarted
-    block Krylov-Rayleigh-Ritz, with W = ``kernel``.
+    """Leading ``wanted`` pairs of M = diag(scale) W diag(scale) by block
+    Lanczos with full reorthogonalization, with W = ``kernel``.
 
-    Products M X are taken as scale * (W (scale * X)), so M is never
-    formed.  Each restart spans [X, M X, M^2 X] from the current
-    ``block`` Ritz vectors X (the first start block holds v0 and seeded
-    Gaussian columns), and keeps the leading ``block`` Ritz pairs of M on
-    that span.  It stops when every wanted pair has ||M x - theta x||_2 <=
-    ``_RESIDUAL_TOL`` (||M||_2 = 1 for a diffusion operator) and returns
-    (theta, X) in descending order.  Returns None when the products with
-    M reach 2n columns (4n^3 flops), about the work of a full ``eigh``,
-    or as soon as the rate at which the largest residual fell over the
-    last two restarts would not reach the tolerance within that budget.
+    The basis V grows one ``block`` at a time from a start block of v0 and
+    seeded Gaussian columns.  Each new block is the image M X of the last
+    one, orthonormalized against all of V by two passes of block
+    Gram-Schmidt, each followed by a Householder QR (the second pass works
+    on unit columns, so a column the first left at rounding level still
+    comes out orthogonal to V).  Each image is taken once, as
+    scale * (W (scale * X)), so M is never formed, and H = V^T M V grows by
+    one block row with V.  V and its image are column-major and grow by
+    doubling.  Rayleigh-Ritz on H stops when every wanted pair has
+    ||M x - theta x||_2 <= ``_RESIDUAL_TOL`` (||M||_2 = 1 for a diffusion
+    operator) and returns (theta, X) in descending order.  Otherwise the
+    log of the largest residual is projected to fall with the square of
+    the basis size, as Krylov convergence speeds up while the basis grows:
+    the next Rayleigh-Ritz runs at the projected size, and the solver
+    returns None once that size or the next block would pass
+    ``_BASIS_CAP`` * n columns.
     """
     n = kernel.shape[0]
     scale = scale[:, None]
-
-    def apply(x):
-        return scale * (kernel @ (scale * x))
-
+    cap = _BASIS_CAP * n
     start = np.random.default_rng(_START_SEED).standard_normal((n, block))
     start[:, 0] = v0
     x = np.linalg.qr(start)[0]
-    mx = apply(x)
-    restarts = 2 * n // ((_DEPTH - 1) * block)
-    worst = []
-    for done in range(1, restarts + 1):
-        blocks, images = [x], [mx]
-        for _ in range(_DEPTH - 1):
-            blocks.append(_orthonormalize(images[-1], blocks))
-            images.append(apply(blocks[-1]))
-        basis, image = np.hstack(blocks), np.hstack(images)
-        h = basis.T @ image
-        theta, y = np.linalg.eigh(0.5 * (h + h.T))
-        theta, y = theta[::-1][:block], y[:, ::-1][:, :block]
-        x, mx = basis @ y, image @ y
-        residual = mx[:, :wanted] - x[:, :wanted] * theta[None, :wanted]
-        worst.append(np.linalg.norm(residual, axis=0).max())
-        if worst[-1] <= _RESIDUAL_TOL:
-            return theta[:wanted], x[:, :wanted]
-        if done >= 3 and (worst[-1] / worst[-3]) ** ((restarts - done) / 2) > \
-                _RESIDUAL_TOL / worst[-1]:
-            return None
-    return None
+    basis, image, h = np.empty((n, 0)), np.empty((n, 0)), np.empty((0, 0))
+    k = target = 0
+    while True:
+        lo, k = k, k + block
+        if k > basis.shape[1]:
+            room = max(2 * lo, k)
+            basis, image = _widened(basis, (n, room)), _widened(image, (n, room))
+            h = _widened(h, (room, room))
+        basis[:, lo:k] = x
+        np.matmul(kernel, scale * x, out=image[:, lo:k])
+        image[:, lo:k] *= scale
+        v, mx = basis[:, :k], image[:, lo:k]
+        projection = v.T @ mx
+        h[lo:k, :k] = projection.T
+        if k + block > target:
+            # eigh reads the lower triangle: the block rows set so far
+            theta, y = np.linalg.eigh(h[:k, :k], UPLO="L")
+            theta, y = theta[::-1][:wanted], y[:, ::-1][:, :wanted]
+            ritz = v @ y
+            worst = np.linalg.norm(image[:, :k] @ y - ritz * theta, axis=0).max()
+            if worst <= _RESIDUAL_TOL:
+                return theta, ritz
+            # share of the way from 1 down to the tolerance, in logs
+            share = np.log(worst) / np.log(_RESIDUAL_TOL)
+            if k * k > share * cap * cap or k + block > cap:
+                return None
+            target = k / np.sqrt(share)
+        w = np.linalg.qr(mx - v @ projection)[0]
+        x = np.linalg.qr(w - v @ (v.T @ w))[0]
 
 
 def _check_time(t) -> int:

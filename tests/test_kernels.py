@@ -22,20 +22,28 @@ def _oracle(q, x):
 
 
 # block step is BLOCK_ENTRIES // n rows; these shapes put m off a multiple
-# of the step, n above BLOCK_ENTRIES (step 1), d = 1, d >= 8 and m = 0
+# of the step, n above BLOCK_ENTRIES (step 1), d = 1, d >= 8, m = 1 and m = 0
 @pytest.mark.parametrize("m,n,d", [
     (7, 5000, 3),                       # step 6: a partial last block
     (3, kernels.BLOCK_ENTRIES + 5, 2),  # step 1
     (40, 900, 1),
     (30, 20, 9),
     (12, 16, 12),
+    (1, 300, 4),
     (0, 10, 3),
 ])
 def test_cross_matches_scalar_oracle(m, n, d):
     rng = np.random.default_rng(m * 1000 + d)
     q = rng.normal(size=(m, d))
     x = rng.normal(size=(n, d))
-    assert np.array_equal(kernels.cross_sq_dists(q, x), _oracle(q, x))
+    # the first square is written straight into the output, which is bit
+    # for bit the oracle's 0.0 + square: check the bytes, with 0.0 and -0.0
+    # coordinates and a query equal to a reference row
+    x[:2, 0] = 0.0, -0.0
+    if m:
+        q[0, 0] = -0.0
+        x[2] = q[0]
+    assert kernels.cross_sq_dists(q, x).tobytes() == _oracle(q, x).tobytes()
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (37, 1), (60, 8), (200, 3)])

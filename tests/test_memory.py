@@ -105,7 +105,8 @@ def test_predict_answers_queries_in_blocks():
 
 def test_krylov_decompose_never_forms_the_conjugate(dmat, monkeypatch):
     # the Krylov path applies W with diagonal scalings; what it holds
-    # beside W is the n x 3(r + 9) basis [X, MX, M^2X] and its image
+    # beside W is the basis and its image, grown by doubling to 4 blocks
+    # of r + 9 columns each at this bandwidth
     transition = build_transition(dmat, default_epsilon(dmat))
 
     def no_eigh(sym, wanted):

@@ -313,6 +313,24 @@ def _forbid_full_eigh(monkeypatch):
     monkeypatch.setattr(spectral, "_eigh_pairs", fail)
 
 
+def _count_kernel_columns(monkeypatch):
+    """Columns of each product with W that the Krylov solver takes."""
+    columns = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            if ufunc is np.matmul:
+                columns.append(inputs[1].shape[1])
+            if out is not None:
+                kwargs["out"] = tuple(np.asarray(o) for o in out)
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+    real = spectral._krylov_pairs
+    monkeypatch.setattr(spectral, "_krylov_pairs",
+                        lambda kernel, *rest: real(kernel.view(Counted), *rest))
+    return columns
+
+
 def _count_full_eigh(monkeypatch):
     calls = []
     real = spectral._eigh_pairs
@@ -334,9 +352,19 @@ def test_krylov_pairs_match_full_eigh_on_swiss_roll(monkeypatch, n, r):
     _assert_matches_oracle(transition, dec)
 
 
+def test_krylov_basis_at_the_median_bandwidth_stops_after_four_blocks(monkeypatch):
+    # r = 50: blocks of 59 columns, each multiplied by W once
+    transition = _transition_of(_swiss_roll(1000))
+    _forbid_full_eigh(monkeypatch)
+    columns = _count_kernel_columns(monkeypatch)
+    dec = decompose(transition, 50)
+    assert set(columns) == {59} and sum(columns) <= 4 * 59
+    _assert_matches_oracle(transition, dec)
+
+
 @pytest.mark.parametrize("points, scale, r, fallback", [
-    (_swiss_roll(1000), 0.05, 50, False),   # slow decay: about 10 restarts
-    (_swiss_roll(1000), 0.02, 50, True),    # slower still: the budget runs out
+    (_swiss_roll(1000), 0.05, 50, False),   # slow decay: converges at 472 columns
+    (_swiss_roll(1000), 0.02, 50, True),    # slower still: projected past the cap
     (_swiss_roll(400), 0.02, 10, True),
     (_swiss_roll(1000), 5.0, 50, False),    # near-degenerate tail, gaps down to 1e-10
     (_two_blobs(1000), 1.0, 50, False),
@@ -352,21 +380,15 @@ def test_hard_spectra_match_full_eigh(monkeypatch, points, scale, r, fallback):
 
 
 def test_slow_krylov_convergence_falls_back_to_eigh_early(monkeypatch):
-    # a 10-D Gaussian at a small bandwidth has a flat leading spectrum: the
-    # largest residual falls about 15% per restart, so the solver gives up
-    # after its third restart rather than spend its 16-restart budget
+    # a 10-D Gaussian at a small bandwidth has a flat leading spectrum: after
+    # 4 blocks the largest residual is still 0.09, which projects past the
+    # 600-column cap, so the solver gives up rather than grow to the cap
     transition = _transition_of(np.random.default_rng(1).normal(size=(1000, 10)), 0.1)
     calls = _count_full_eigh(monkeypatch)
-    passes = []
-    real = spectral._orthonormalize
-
-    def counted(w, previous):
-        passes.append(len(previous))
-        return real(w, previous)
-    monkeypatch.setattr(spectral, "_orthonormalize", counted)
+    columns = _count_kernel_columns(monkeypatch)
     dec = decompose(transition)
     assert calls == [1000]
-    assert len(passes) == 3 * (spectral._DEPTH - 1)
+    assert columns == [59] * 4
     lam, psi = _full_eigh_oracle(transition)
     assert np.array_equal(dec.eigenvalues, lam[:50])
     assert np.array_equal(dec.eigenvectors, psi[:, :50])
