@@ -166,7 +166,7 @@ def read_dissimilarity_table(path, n: int) -> np.ndarray:
         with warnings.catch_warnings():
             # an empty file is reported below, not as a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            dmat = np.loadtxt(path, delimiter=",", ndmin=2)
+            dmat = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
     except ValueError as exc:
         raise ValidationError(f"malformed dissimilarity table {path}: {exc}") from exc
     if dmat.size == 0:
@@ -254,7 +254,7 @@ def parse_table(source) -> Table:
     """
     if isinstance(source, (str, Path)):
         try:
-            text = Path(source).read_text(encoding="utf-8")
+            text = Path(source).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{source} is not UTF-8 text: {exc}") from exc
     else:

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .dataset import DataSet
 from .errors import ValidationError
@@ -40,6 +41,8 @@ class GeneratorSpec:
             raise ValidationError(f"unknown generator kind {self.kind!r}; expected {KINDS}")
         if self.n < 2:
             raise ValidationError(f"n must be >= 2, got {self.n}")
+        if self.n > 2**32:
+            raise ValidationError(f"n must be <= 2**32, one 32-bit word per index, got {self.n}")
         if not 0 <= self.noise_sd < np.inf:
             raise ValidationError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
         if self.seed < 0:
@@ -53,13 +56,11 @@ class GeneratorSpec:
                 f"separation must be finite and nonnegative, got {self.separation}")
 
 
-# numpy's SeedSequence hash with its 4-word pool, and PCG64's multiplier
+# numpy's SeedSequence hash with its 4-word pool
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 _STREAM_CHUNK = 4096   # indices hashed per vectorized pass
 
 
@@ -83,9 +84,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def _seed_words(seed: int, indices: np.ndarray) -> list:
+def _seed_words(seed: int, indices: np.ndarray) -> np.ndarray:
     """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for each
-    uint32 index i, as four uint64 arrays.
+    uint32 index i, as the rows of an (m, 4) uint64 array.
 
     The entropy is seed's 32-bit words, low first ([0] for 0), then i's
     one word; pool words beyond it hash a zero, and words beyond the pool
@@ -111,33 +112,31 @@ def _seed_words(seed: int, indices: np.ndarray) -> list:
             for dst in range(4):
                 pool[dst] = _mix(pool[dst], _hashmix(word, constants))
         constants = _hash_constants(_INIT_B, _MULT_B)
-        state = [_hashmix(pool[j % 4], constants).astype(np.uint64) for j in range(8)]
-    return [state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)]
+        state = np.stack([_hashmix(pool[j % 4], constants) for j in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose PCG64 seed words are already hashed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _point_rngs(seed: int, n: int):
     """Point i's stream, ``np.random.default_rng([seed, i])``, for i < n.
 
-    Yields one reused Generator, reseeded for each i with the PCG64 state
-    that seed list gives: the seed words come from a vectorized pass over
-    a chunk of indices, and PCG64's seeding (two LCG steps) runs on Python
-    ints.  Draw from each before taking the next.
+    The seed words come from a vectorized pass over a chunk of indices,
+    and numpy's PCG64 seeds each point's own Generator from its row.  An
+    index must fit one 32-bit word, as GeneratorSpec's bound on n ensures.
     """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
     for start in range(0, n, _STREAM_CHUNK):
-        # a point index fits one 32-bit word: n rows could not be allocated otherwise
         indices = np.arange(start, min(start + _STREAM_CHUNK, n), dtype=np.uint32)
-        for w0, w1, w2, w3 in zip(*(w.tolist() for w in _seed_words(seed, indices))):
-            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+        for words in _seed_words(seed, indices):
+            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _swiss_roll(spec: GeneratorSpec) -> DataSet:

@@ -431,6 +431,30 @@ def test_gen_non_finite_shape_parameter_exits_1(tmp_path, capsys, kind, flag, va
     assert not out.exists()
 
 
+def test_gen_n_past_a_32_bit_index_exits_1(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["gen", "--kind", "swiss-roll", "--n", "4294967297", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: n must be <= 2**32")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 21.8 TiB"), "error: Unable to allocate 21.8 TiB\n"),
+    (MemoryError(), "error: MemoryError\n"),
+], ids=["message", "bare"])
+def test_allocation_failure_exits_1_without_traceback(tmp_path, capsys, monkeypatch,
+                                                      exc, line):
+    def no_memory(spec):
+        raise exc
+    monkeypatch.setattr(synthetic, "generate", no_memory)
+    out = tmp_path / "g.csv"
+    assert main(["gen", "--kind", "swiss-roll", "--n", "10", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("diss", ["sqeuclidean", "euclidean"])
 def test_embed_overflowing_distances_exit_1(tmp_path, capsys, diss):
     # finite coordinates, so the table loads; their distances overflow
@@ -693,6 +717,28 @@ def test_embed_empty_table_exits_1_with_one_line(tmp_path, capsys):
                  "--diss", f"table:{table}", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: dissimilarity table {table} has no rows\n"
     assert not out.exists()
+
+
+def test_byte_order_marked_inputs_read_as_the_plain_files(tmp_path):
+    # spreadsheet tools save "CSV UTF-8" with a leading EF BB BF
+    data = _gen(tmp_path)
+    x = np.loadtxt(data, delimiter=",", skiprows=1, usecols=(1, 2, 3))
+    table = tmp_path / "t.csv"
+    np.savetxt(table, ((x[:, None] - x[None]) ** 2).sum(axis=2), delimiter=",")
+
+    def embedded(run, mark):
+        run.mkdir()
+        for src in (data, table):
+            (run / src.name).write_bytes(mark + src.read_bytes())
+        coords = []
+        for k, diss in enumerate(["sqeuclidean", f"table:{run / table.name}"]):
+            out = run / f"c{k}.csv"
+            assert main(["embed", "--input", str(run / data.name), "--response", "response",
+                         "--diss", diss, "--r", "2", "--out", str(out)]) == 0
+            coords.append(out.read_bytes())
+        return coords
+
+    assert embedded(tmp_path / "bom", b"\xef\xbb\xbf") == embedded(tmp_path / "plain", b"")
 
 
 @pytest.mark.parametrize("argv", [

@@ -112,6 +112,12 @@ def test_invalid_specs_rejected():
         GeneratorSpec(kind="component-families", n=4, n_families=5)
 
 
+def test_n_past_a_32_bit_point_index_rejected():
+    assert GeneratorSpec(kind="line-chain", n=2**32).n == 2**32
+    with pytest.raises(ValidationError, match=r"n must be <= 2\*\*32, one 32-bit word"):
+        GeneratorSpec(kind="line-chain", n=2**32 + 1)
+
+
 @pytest.mark.parametrize("field", ["noise_sd", "separation"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_shape_parameters_rejected(field, value):
@@ -134,6 +140,15 @@ def test_point_streams_are_default_rng_of_seed_and_index(seed):
             assert rng.random() == want.random()
             assert rng.normal(size=3).tobytes() == want.normal(size=3).tobytes()
     assert i == n - 1
+
+
+def test_point_streams_are_independent_generators():
+    seed = 2**64 + 3
+    n = synthetic._STREAM_CHUNK + 5   # two chunks
+    rngs = list(synthetic._point_rngs(seed, n))
+    for i in reversed(range(n)):
+        want = np.random.default_rng([seed, i])
+        assert rngs[i].normal(size=3).tobytes() == want.normal(size=3).tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
