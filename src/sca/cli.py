@@ -36,7 +36,7 @@ from .prototypes import (
     quantization_benchmark,
 )
 from .regression import EigenbasisRegression, fit, fitted_values, predict, risk_curve
-from .spectral import SpectralDecomposition, decompose, embed
+from .spectral import SpectralDecomposition, _check_time, decompose, embed
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +187,9 @@ def _cmd_gen(args):
     return [(args.out, _csv_bytes(header, [ids], values)), _sidecar(args.out, _config(args), info)]
 
 
-# Entries of a model archive: name -> (dtype kind, ndim).  The regression
-# entries are present only in models written by ``regress``.  Entries not
-# listed here (such as the ``phi0`` of older archives) are not read.
+# Model archive entries, name -> (dtype kind, ndim), each named for the field it
+# fills but t and response_column; the regression ones are only in ``regress``
+# models.  Unlisted entries (such as the ``phi0`` of older archives) are not read.
 _MODEL_ENTRIES = {
     "points": ("f", 2), "eigenvalues": ("f", 1), "eigenvectors": ("f", 2),
     "epsilon": ("f", 0), "diss_kind": ("U", 0), "t": ("i", 0),
@@ -219,13 +219,21 @@ def _model_bytes(extension: ExtensionModel, t: int, pairs: int,
     return buf.getvalue()
 
 
+@contextlib.contextmanager
+def _named(source: str):
+    """Prefix every ValidationError raised in the block with ``source``."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from exc
+
+
 def _load_model(path):
     """Read a model archive as (extension, t, regression, response_column).
 
-    The last two are None for a model written by ``embed``.  Every fault
-    (an unreadable archive, a missing entry, a wrong dtype, ndim or shape,
-    a non-finite or out-of-range value) is a ValidationError naming the
-    file.
+    The last two are None for a model written by ``embed``.  The loader
+    checks each entry's presence, dtype kind and ndim, and the types check
+    their own invariants; every fault is a ValidationError naming the file.
     """
     entries = {}
     try:
@@ -239,47 +247,25 @@ def _load_model(path):
     except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"cannot read model {path}: {exc}") from exc
 
-    def fault(text):
-        return ValidationError(f"model {path}: {text}")
-
     def entry(key, kind, ndim):
         if key not in entries:
-            raise fault(f"missing entry {key!r}")
+            raise ValidationError(f"missing entry {key!r}")
         arr = entries[key]
         if arr.dtype.kind != kind or arr.ndim != ndim:
-            raise fault(f"entry {key!r} is a {arr.ndim}-D {arr.dtype} array, "
-                        f"expected {ndim}-D of kind {kind!r}")
-        if kind == "f" and not np.isfinite(arr).all():
-            raise fault(f"entry {key!r} has non-finite values")
+            raise ValidationError(f"entry {key!r} is a {arr.ndim}-D {arr.dtype} array, "
+                                  f"expected {ndim}-D of kind {kind!r}")
         return arr.item() if ndim == 0 else arr
 
-    e = {key: entry(key, *spec) for key, spec in _MODEL_ENTRIES.items()}
-    n, k = e["points"].shape[0], e["eigenvalues"].shape[0]
-    if e["eigenvectors"].shape != (n, k):
-        raise fault(f"entry 'eigenvectors' has shape {e['eigenvectors'].shape}, "
-                    f"expected {(n, k)}")
-    if not (n >= 1 and k >= 1 and e["epsilon"] > 0 and e["t"] >= 1):
-        raise fault(f"needs n >= 1 points, k >= 1 eigenpairs, epsilon > 0 and t >= 1; "
-                    f"got n={n}, k={k}, epsilon={e['epsilon']!r}, t={e['t']!r}")
-    try:
-        extension = ExtensionModel(
-            points=e["points"], epsilon=e["epsilon"], diss_kind=e["diss_kind"],
-            decomposition=SpectralDecomposition(
-                eigenvalues=e["eigenvalues"], eigenvectors=e["eigenvectors"]))
-    except ValidationError as exc:
-        raise fault(str(exc)) from exc
-    if not any(key in entries for key in _REGRESSION_ENTRIES):
-        return extension, e["t"], None, None
-    r = {key: entry(key, *spec) for key, spec in _REGRESSION_ENTRIES.items()}
-    p = r["coefficients"].shape[0]
-    if not 1 <= p <= k:
-        raise fault(f"has {p} coefficients for {k} stored eigenpairs; "
-                    f"expected between 1 and {k}")
-    regression = EigenbasisRegression(
-        intercept=r["intercept"], coefficients=r["coefficients"],
-        cv_risk_curve=r["cv_risk_curve"], extension=extension,
-        folds=r["folds"], seed=r["seed"])
-    return extension, e["t"], regression, r["response_column"]
+    with _named(f"model {path}"):
+        e = {key: entry(key, *spec) for key, spec in _MODEL_ENTRIES.items()}
+        t = _check_time(e.pop("t"))
+        decomposition = SpectralDecomposition(e.pop("eigenvalues"), e.pop("eigenvectors"))
+        extension = ExtensionModel(decomposition=decomposition, **e)
+        if not any(key in entries for key in _REGRESSION_ENTRIES):
+            return extension, t, None, None
+        r = {key: entry(key, *spec) for key, spec in _REGRESSION_ENTRIES.items()}
+        column = r.pop("response_column")
+        return extension, t, EigenbasisRegression(extension=extension, **r), column
 
 
 def _read_input(args):
@@ -393,12 +379,10 @@ def _cmd_prototype(args):
 
 
 def _load_prototypes_csv(path) -> PrototypeSet:
-    table = parse_table(path)
-    protos, _, (log_ages, log_mets) = table.split(
-        table.default_id(), ("mean_log_age", "mean_log_met"), role="prototypes")
-    if protos.shape[0] == 0:
-        raise ValidationError(f"prototypes file {path} has no rows")
-    return PrototypeSet(prototypes=protos, log_ages=log_ages, log_metallicities=log_mets)
+    with _named(f"prototypes file {path}"):
+        protos, _, (log_ages, log_mets) = parse_table(path).split(
+            labels=("mean_log_age", "mean_log_met"), role="prototypes")
+        return PrototypeSet(prototypes=protos, log_ages=log_ages, log_metallicities=log_mets)
 
 
 def _cmd_fit_mixture(args):

@@ -203,8 +203,9 @@ class Table:
         non-numeric or non-finite cell is rejected with its 1-based data
         row and its column.  The named ``labels`` come back as 1-D arrays
         in the order given, and the remaining columns are the features.
-        Ids default to 0-based row indices.
+        ``id_column`` None means ``default_id()``; with no id, rows are numbered.
         """
+        id_column = self.default_id(id_column)
         id_idx = None if id_column is None else self._index(id_column, "id")
         label_idx = [self._index(name, role) for name in labels]
         if id_idx in label_idx:

@@ -25,7 +25,9 @@ QUERY_BLOCK_ENTRIES = 1 << 18
 
 @dataclass(frozen=True)
 class ExtensionModel:
-    """Everything needed to evaluate eigenfunctions at new points."""
+    """Everything needed to evaluate eigenfunctions at new points: finite
+    n x d points with the decomposition's n rows, 0 < epsilon < inf and a
+    computable dissimilarity kind, each checked on construction."""
 
     points: np.ndarray
     decomposition: SpectralDecomposition
@@ -39,6 +41,13 @@ class ExtensionModel:
                 f"kind {self.diss_kind!r} has no values for unseen points"
             )
         object.__setattr__(self, "points", frozen_array(self.points))
+        if self.points.ndim != 2 or self.n != self.decomposition.n:
+            raise ValidationError(f"points must be an n x d matrix with the decomposition's "
+                                  f"n = {self.decomposition.n} rows, got {self.points.shape}")
+        if not np.isfinite(self.points).all():
+            raise ValidationError("points contain non-finite entries")
+        if not 0 < self.epsilon < np.inf:
+            raise ValidationError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
 
     @property
     def n(self) -> int:
@@ -52,14 +61,10 @@ class ExtensionModel:
 def build_extension(data: DataSet, transition: TransitionMatrix,
                     decomposition: SpectralDecomposition) -> ExtensionModel:
     """Bundle training data with its decomposition, keeping kernel provenance."""
-    if transition.n != data.n or decomposition.n != data.n:
-        raise ValidationError("dataset, transition, and decomposition sizes disagree")
-    return ExtensionModel(
-        points=data.points,
-        decomposition=decomposition,
-        epsilon=transition.epsilon,
-        diss_kind=transition.diss_kind,
-    )
+    if transition.n != data.n:
+        raise ValidationError("dataset and transition sizes disagree")
+    return ExtensionModel(points=data.points, decomposition=decomposition,
+                          epsilon=transition.epsilon, diss_kind=transition.diss_kind)
 
 
 def _check_queries(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ def _check_ref_index(ref_index: int, d: int) -> None:
 
 
 def _check_k(k: int, n: int) -> None:
-    if not 1 <= k <= n:
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
         raise ValidationError(f"k must lie in [1, {n}], got {k}")
 
 
@@ -99,6 +99,7 @@ class PrototypeSet:
     ``wcss_history`` and its bandwidth ``epsilon``.  The grid baseline
     returns selected components verbatim, with their own parameters and
     member labels.  Fields that are not given stay None (or empty).
+    Construction checks K >= 1 and finite vectors and parameters.
     """
 
     prototypes: np.ndarray            # (K, d)
@@ -119,9 +120,14 @@ class PrototypeSet:
                 object.__setattr__(self, name, frozen_array(value, dtype=dtype))
         if self.prototypes.ndim != 2:
             raise ValidationError("prototypes must be a K x d matrix")
+        if self.k == 0:
+            raise ValidationError("prototype set is empty; a mixture needs at least one prototype")
         for name in ("log_ages", "log_metallicities"):
             if getattr(self, name).shape != (self.k,):
                 raise ValidationError(f"{name} must have length K={self.k}")
+        if not all(np.isfinite(a).all() for a in (self.prototypes, self.log_ages,
+                                                  self.log_metallicities)):
+            raise ValidationError("prototypes and their parameters contain non-finite entries")
         object.__setattr__(self, "wcss_history", tuple(float(w) for w in self.wcss_history))
 
     @property
@@ -335,8 +341,6 @@ def fit_mixture(proto: PrototypeSet, y: np.ndarray, noise_sd: float = 1.0) -> Mi
     if not np.isfinite(y).all():
         raise ValidationError("observation contains non-finite entries")
     k = p.shape[0]
-    if k == 0:
-        raise ValidationError("prototype set is empty; a mixture needs at least one prototype")
     gram = 2.0 * (p @ p.T)
     lin = 2.0 * (p @ y)
     # reduced gradients this close to zero are rounding, not descent
@@ -439,7 +443,7 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
     estimated versus true mean log age / log metallicity.  Per-trial
     randomness is keyed by (seed, trial index).
     """
-    if n_trials < 1:
+    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
     if not 0 <= noise_sd < np.inf:
         raise ValidationError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
@@ -485,7 +489,5 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
 
 def load_component_library(path, ref_index: int = 0) -> ComponentLibrary:
     """Read a library CSV: columns id (optional), age, met, then spectrum bins."""
-    table = parse_table(path)
-    spectra, _, (ages, mets) = table.split(table.default_id(), ("age", "met"),
-                                           role="library")
+    spectra, _, (ages, mets) = parse_table(path).split(labels=("age", "met"), role="library")
     return ComponentLibrary.normalize(spectra, ages, mets, ref_index=ref_index)

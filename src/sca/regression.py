@@ -16,11 +16,14 @@ import numpy as np
 from .dataset import DataSet, frozen_array
 from .errors import NumericalError, ValidationError
 from .nystrom import ExtensionModel, _check_queries, _checked_eigenvalues, _query_blocks
-from .spectral import DiffusionEmbedding, _coords
+from .spectral import DiffusionEmbedding, _check_pair_index, _coords
 
 
 @dataclass(frozen=True)
 class EigenbasisRegression:
+    """A fit on psi_1..psi_p; construction checks that p lies in [1, k] for
+    the extension's k stored pairs and that the fit is finite."""
+
     intercept: float
     coefficients: np.ndarray
     cv_risk_curve: np.ndarray      # risk estimate for each candidate p = 1..r
@@ -31,6 +34,9 @@ class EigenbasisRegression:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", frozen_array(self.coefficients))
         object.__setattr__(self, "cv_risk_curve", frozen_array(self.cv_risk_curve))
+        _check_pair_index(self.p, self.extension.decomposition, "number of coefficients p")
+        if not (np.isfinite(self.intercept) and np.isfinite(self.coefficients).all()):
+            raise ValidationError("intercept and coefficients must be finite")
 
     @property
     def p(self) -> int:
@@ -51,7 +57,7 @@ class EigenbasisRegression:
 
 def kfold_indices(n: int, folds: int, seed: int):
     """Deterministic shuffled K-fold split; a pure function of (n, folds, seed)."""
-    if not 2 <= folds <= n:
+    if not isinstance(folds, (int, np.integer)) or not 2 <= folds <= n:
         raise ValidationError(f"folds must lie in [2, {n}], got {folds}")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
@@ -132,14 +138,8 @@ def fit(data: DataSet, emb: DiffusionEmbedding, ext: ExtensionModel,
     risks = basis_risk_curve(basis, y, folds, seed)
     p = int(np.argmin(risks)) + 1  # first minimum, so ties pick the smallest p
     intercept, coefficients = _refit(basis, y, p)
-    return EigenbasisRegression(
-        intercept=intercept,
-        coefficients=coefficients,
-        cv_risk_curve=risks,
-        extension=ext,
-        folds=folds,
-        seed=seed,
-    )
+    return EigenbasisRegression(intercept=intercept, coefficients=coefficients,
+                                cv_risk_curve=risks, extension=ext, folds=folds, seed=seed)
 
 
 def predict(model: EigenbasisRegression, new_points: np.ndarray) -> np.ndarray:

@@ -38,7 +38,8 @@ class SpectralDecomposition:
 
     ``decompose`` stores the leading ``r`` nontrivial pairs (by default
     ``min(DEFAULT_PAIRS, n - 1)``); a model read back from disk stores
-    the ones it uses.
+    the ones it uses.  Construction checks k >= 1 eigenvalues, n x k
+    eigenvectors with n > k, and finite entries.
 
     Right eigenvectors are normalized to be orthonormal under the
     phi0-weighted inner product, which makes the euclidean metric of the
@@ -54,6 +55,12 @@ class SpectralDecomposition:
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors"):
             object.__setattr__(self, name, frozen_array(getattr(self, name)))
+        vals, vecs = self.eigenvalues, self.eigenvectors
+        if not (vals.ndim == 1 and vecs.ndim == 2 and 1 <= vals.size == vecs.shape[1] < self.n):
+            raise ValidationError(f"eigenvectors must be n x k for k >= 1 eigenvalues, n > k; "
+                                  f"got {vecs.shape} for eigenvalues {vals.shape}")
+        if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+            raise ValidationError("eigenpairs contain non-finite entries")
 
     @property
     def n(self) -> int:

@@ -39,13 +39,13 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown generator kind {self.kind!r}; expected {KINDS}")
-        if self.n < 2:
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValidationError(f"n must be >= 2, got {self.n}")
         if self.n > 2**32:
             raise ValidationError(f"n must be <= 2**32, one 32-bit word per index, got {self.n}")
         if not 0 <= self.noise_sd < np.inf:
             raise ValidationError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
-        if self.seed < 0:
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError("seed must be nonnegative")
         if self.kind == "component-families" and not 1 <= self.n_families <= self.n:
             raise ValidationError("n_families must lie in [1, n]")

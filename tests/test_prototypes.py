@@ -123,6 +123,8 @@ def test_kmeans_k_too_large_rejected():
     lib = _families_library(n=10)
     with pytest.raises(ValidationError, match="k must lie"):
         diffusion_kmeans(lib, 11, seed=0)
+    with pytest.raises(ValidationError, match=r"k must lie in \[1, 10\], got 3.0"):
+        diffusion_kmeans(lib, 3.0, seed=0)
 
 
 def test_kmeans_more_clusters_than_distinct_components_raises():
@@ -201,7 +203,7 @@ def test_grid_k_equals_n_selects_everything():
                                np.sort(lib.spectra, axis=0), atol=1e-12)
 
 
-@pytest.mark.parametrize("k", [0, 10])
+@pytest.mark.parametrize("k", [0, 10, 3.5])
 def test_grid_k_out_of_range_rejected(k):
     with pytest.raises(ValidationError, match=f"k must lie in \\[1, 9\\], got {k}"):
         grid_prototypes(_families_library(n=9), k)
@@ -548,6 +550,8 @@ def test_benchmark_single_trial_bookkeeping():
 def test_benchmark_needs_a_trial():
     with pytest.raises(ValidationError, match="n_trials must be >= 1, got 0"):
         quantization_benchmark(_families_library(n=10), 3, 0, 0.01, seed=2)
+    with pytest.raises(ValidationError, match="n_trials must be >= 1, got 1.5"):
+        quantization_benchmark(_families_library(n=10), 3, 1.5, 0.01, seed=2)
 
 
 def test_benchmark_deterministic_given_seed():

@@ -240,6 +240,11 @@ def test_folds_out_of_range():
         fit(labeled, emb, ext, folds=1, seed=0)
     with pytest.raises(ValidationError, match="folds"):
         fit(labeled, emb, ext, folds=13, seed=0)
+    # a count must be an integer: 2.5 folds used to split and be stored
+    with pytest.raises(ValidationError, match=r"folds must lie in \[2, 12\], got 2.5"):
+        fit(labeled, emb, ext, folds=2.5, seed=0)
+    with pytest.raises(ValidationError, match=r"folds must lie in \[2, 10\], got 2.5"):
+        kfold_indices(10, 2.5, 0)
 
 
 def test_negative_seed_rejected():

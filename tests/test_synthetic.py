@@ -106,6 +106,11 @@ def test_invalid_specs_rejected():
         GeneratorSpec(kind="swiss-roll", n=10, noise_sd=-0.1)
     with pytest.raises(ValidationError, match="seed"):
         GeneratorSpec(kind="swiss-roll", n=10, seed=-1)
+    # counts and seeds must be integers
+    with pytest.raises(ValidationError, match="n must"):
+        GeneratorSpec(kind="swiss-roll", n=30.5)
+    with pytest.raises(ValidationError, match="seed"):
+        GeneratorSpec(kind="swiss-roll", n=10, seed=1.5)
     with pytest.raises(ValidationError, match="n_bins"):
         GeneratorSpec(kind="component-families", n=10, n_bins=4)
     with pytest.raises(ValidationError, match="n_families"):
