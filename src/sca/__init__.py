@@ -27,12 +27,7 @@ from .prototypes import (
     quantization_benchmark,
 )
 from .regression import EigenbasisRegression, fit, predict, risk_curve
-from .spectral import (
-    DiffusionEmbedding,
-    SpectralDecomposition,
-    decompose,
-    embed,
-)
+from .spectral import DiffusionEmbedding, SpectralDecomposition, decompose, embed
 from .synthetic import GeneratorSpec, generate
 
 __version__ = "0.1.0"

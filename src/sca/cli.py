@@ -25,7 +25,7 @@ import numpy as np
 
 from . import synthetic
 from .dataset import DISS_KINDS, load_dataset, parse_table, read_dissimilarity_table, read_table
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int
 from .markov import _gaussian_chain, transition_from_points
 from .nystrom import ExtensionModel, build_extension, extend_embedding
 from .prototypes import (
@@ -36,7 +36,7 @@ from .prototypes import (
     quantization_benchmark,
 )
 from .regression import EigenbasisRegression, fit, fitted_values, predict, risk_curve
-from .spectral import SpectralDecomposition, _check_time, decompose, embed
+from .spectral import SpectralDecomposition, decompose, embed
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def _load_model(path):
 
     with _named(f"model {path}"):
         e = {key: entry(key, *spec) for key, spec in _MODEL_ENTRIES.items()}
-        t = _check_time(e.pop("t"))
+        t = check_int(e.pop("t"), 1, None, "diffusion time t")
         decomposition = SpectralDecomposition(e.pop("eigenvalues"), e.pop("eigenvectors"))
         extension = ExtensionModel(decomposition=decomposition, **e)
         if not any(key in entries for key in _REGRESSION_ENTRIES):

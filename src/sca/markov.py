@@ -6,7 +6,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import _check_kind, _point_dissimilarity, frozen_array, validate_dissimilarity
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, is_real
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,7 @@ def _gaussian_chain(dmat: np.ndarray, epsilon: Optional[float], diss_kind: str,
     """The chain of a validated D; W is written to ``out``, or to a new buffer."""
     if dmat.shape[0] < 2:
         raise ValidationError("need at least 2 observations")
-    if epsilon is None:
-        epsilon = default_epsilon(dmat)
-    elif not 0 < epsilon < np.inf:
-        raise ValidationError(f"epsilon must be a positive finite real, got {epsilon}")
+    epsilon = default_epsilon(dmat) if epsilon is None else _check_epsilon(epsilon)
     # one n x n buffer: exp(-D/eps) computed in place, then frozen as it is
     weights = _gaussian_kernel(dmat, epsilon, out)
     if not weights.all():
@@ -93,6 +90,13 @@ def _gaussian_chain(dmat: np.ndarray, epsilon: Optional[float], diss_kind: str,
     weights.setflags(write=False)
     return TransitionMatrix(kernel=weights, kernel_row_sums=weights.sum(axis=1),
                             epsilon=float(epsilon), diss_kind=diss_kind)
+
+
+def _check_epsilon(epsilon):
+    """The one check of a kernel bandwidth, in training and in a stored model."""
+    if is_real(epsilon) and 0 < epsilon < np.inf:
+        return epsilon
+    raise ValidationError(f"epsilon must be a positive finite real, got {epsilon!r}")
 
 
 def _gaussian_kernel(dmat: np.ndarray, epsilon: float,

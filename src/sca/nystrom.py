@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DISS_KINDS, DataSet, _point_dissimilarity, frozen_array
-from .errors import NumericalError, ValidationError
-from .markov import TransitionMatrix, _gaussian_kernel
-from .spectral import SpectralDecomposition, _check_pair_index, _check_time
+from .errors import NumericalError, ValidationError, check_int
+from .markov import TransitionMatrix, _check_epsilon, _gaussian_kernel
+from .spectral import SpectralDecomposition, _check_pair_index
 
 EIGENVALUE_FLOOR = 1e-12
 
@@ -46,8 +46,7 @@ class ExtensionModel:
                                   f"n = {self.decomposition.n} rows, got {self.points.shape}")
         if not np.isfinite(self.points).all():
             raise ValidationError("points contain non-finite entries")
-        if not 0 < self.epsilon < np.inf:
-            raise ValidationError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
+        _check_epsilon(self.epsilon)
 
     @property
     def n(self) -> int:
@@ -137,6 +136,6 @@ def extend_eigenfunctions(model: ExtensionModel, new_points: np.ndarray,
 def extend_embedding(model: ExtensionModel, new_points: np.ndarray,
                      t: int, r: int) -> np.ndarray:
     """Diffusion coordinates for m new points: row k is (lambda_j^t psi_hat_j(x_k))_j."""
-    t = _check_time(t)
+    t = check_int(t, 1, None, "diffusion time t")
     psi_hat = extend_eigenfunctions(model, new_points, r)
     return psi_hat * (model.decomposition.eigenvalues[:r] ** t)[None, :]

@@ -16,22 +16,12 @@ import numpy as np
 
 from . import kernels
 from .dataset import frozen_array, parse_table
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int, is_real
 from .markov import transition_from_points
 from .spectral import decompose, embed
 
 KKT_TOL = 1e-8
 _LLOYD_MAX_ITER = 500  # cap on the Lloyd iterations of diffusion_kmeans
-
-
-def _check_ref_index(ref_index: int, d: int) -> None:
-    if not 0 <= ref_index < d:
-        raise ValidationError(f"ref_index {ref_index} out of range for d={d}")
-
-
-def _check_k(k: int, n: int) -> None:
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise ValidationError(f"k must lie in [1, {n}], got {k}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +43,7 @@ class ComponentLibrary:
         if not np.isfinite(spectra).all():
             raise ValidationError("spectra contain non-finite entries")
         n, d = spectra.shape
-        _check_ref_index(self.ref_index, d)
+        check_int(self.ref_index, 0, d - 1, "ref_index")
         if not np.allclose(spectra[:, self.ref_index], 1.0, rtol=0, atol=1e-9):
             raise ValidationError(
                 f"spectra are not normalized to 1 at reference index {self.ref_index}"
@@ -71,7 +61,7 @@ class ComponentLibrary:
     def normalize(cls, spectra, ages, metallicities, ref_index: int = 0):
         """Divide each spectrum by its value at the reference coordinate."""
         spectra = np.asarray(spectra, dtype=np.float64)
-        _check_ref_index(ref_index, spectra.shape[-1])
+        check_int(ref_index, 0, spectra.shape[-1] - 1, "ref_index")
         ref = spectra[:, ref_index]
         if (ref <= 0).any() or not np.isfinite(ref).all():
             raise ValidationError(
@@ -188,9 +178,8 @@ def diffusion_kmeans(lib: ComponentLibrary, k: int, t: int = 1,
     repaired by reseeding its centroid at the point currently farthest
     from its own centroid; one still empty at the end raises NumericalError.
     """
-    _check_k(k, lib.n_components)
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    k = check_int(k, 1, lib.n_components, "k")
+    seed = check_int(seed, 0, None, "seed")
     order = np.lexsort(lib.spectra.T[::-1])
     spectra = lib.spectra[order]
     log_age = np.log(lib.ages[order])
@@ -246,7 +235,7 @@ def grid_prototypes(lib: ComponentLibrary, k: int) -> PrototypeSet:
     returned verbatim, ordered by library index.
     """
     n = lib.n_components
-    _check_k(k, n)
+    k = check_int(k, 1, n, "k")
     log_age = np.log(lib.ages)
     log_met = np.log(lib.metallicities)
     cols, varies = [], []
@@ -443,9 +432,8 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
     estimated versus true mean log age / log metallicity.  Per-trial
     randomness is keyed by (seed, trial index).
     """
-    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
-    if not 0 <= noise_sd < np.inf:
+    check_int(n_trials, 1, None, "n_trials")
+    if not (is_real(noise_sd) and 0 <= noise_sd < np.inf):
         raise ValidationError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
     protos = {
         "diffusion": diffusion_kmeans(lib, k, t=t, r=r, seed=seed),

@@ -14,15 +14,15 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import DataSet, frozen_array
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int
 from .nystrom import ExtensionModel, _check_queries, _checked_eigenvalues, _query_blocks
 from .spectral import DiffusionEmbedding, _check_pair_index, _coords
 
 
 @dataclass(frozen=True)
 class EigenbasisRegression:
-    """A fit on psi_1..psi_p; construction checks that p lies in [1, k] for
-    the extension's k stored pairs and that the fit is finite."""
+    """A fit on psi_1..psi_p; construction checks p in [1, k] for the
+    extension's k stored pairs, a finite fit, folds in [2, n] and seed >= 0."""
 
     intercept: float
     coefficients: np.ndarray
@@ -35,6 +35,8 @@ class EigenbasisRegression:
         object.__setattr__(self, "coefficients", frozen_array(self.coefficients))
         object.__setattr__(self, "cv_risk_curve", frozen_array(self.cv_risk_curve))
         _check_pair_index(self.p, self.extension.decomposition, "number of coefficients p")
+        check_int(self.folds, 2, self.extension.n, "folds")
+        check_int(self.seed, 0, None, "seed")
         if not (np.isfinite(self.intercept) and np.isfinite(self.coefficients).all()):
             raise ValidationError("intercept and coefficients must be finite")
 
@@ -57,11 +59,8 @@ class EigenbasisRegression:
 
 def kfold_indices(n: int, folds: int, seed: int):
     """Deterministic shuffled K-fold split; a pure function of (n, folds, seed)."""
-    if not isinstance(folds, (int, np.integer)) or not 2 <= folds <= n:
-        raise ValidationError(f"folds must lie in [2, {n}], got {folds}")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
-    perm = np.random.default_rng(seed).permutation(n)
+    folds = check_int(folds, 2, n, "folds")
+    perm = np.random.default_rng(check_int(seed, 0, None, "seed")).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 

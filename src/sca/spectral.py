@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import frozen_array
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int
 from .markov import TransitionMatrix, stationary_distribution
 
 # Nontrivial pairs ``decompose`` keeps when no r is given.
@@ -69,13 +69,15 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class DiffusionEmbedding:
-    """r-dimensional diffusion coordinates at time t: column j is lambda_j^t psi_j."""
+    """r-dimensional diffusion coordinates at time t: column j is lambda_j^t psi_j.
+    Construction checks that t is an integer >= 1."""
 
     coords: np.ndarray
     t: int
 
     def __post_init__(self):
         object.__setattr__(self, "coords", frozen_array(self.coords))
+        check_int(self.t, 1, None, "diffusion time t")
 
     @property
     def r(self) -> int:
@@ -101,12 +103,8 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
     numerically disconnected graph raises NumericalError.
     """
     n = transition.n
-    if r is None:
-        r = min(DEFAULT_PAIRS, n - 1)
-    elif not isinstance(r, (int, np.integer)) or not 1 <= r <= n - 1:
-        raise ValidationError(
-            f"number of eigenpairs r must lie in [1, {n - 1}], got {r!r}")
-    r = int(r)
+    r = check_int(min(DEFAULT_PAIRS, n - 1) if r is None else r, 1, n - 1,
+                  "number of eigenpairs r")
     s = transition.kernel_row_sums
     sqrt_s = np.sqrt(s)
     inv_sqrt_s = 1.0 / sqrt_s
@@ -213,26 +211,15 @@ def _krylov_pairs(kernel: np.ndarray, scale: np.ndarray, v0: np.ndarray,
         x = np.linalg.qr(w - v @ (v.T @ w))[0]
 
 
-def _check_time(t) -> int:
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ValidationError(f"diffusion time t must be a positive integer, got {t!r}")
-    return int(t)
-
-
 def _check_pair_index(value, decomposition: SpectralDecomposition, what: str) -> int:
     """Validate a 1-based count or index of nontrivial pairs against those stored."""
-    pairs = decomposition.eigenvalues.shape[0]
-    if not isinstance(value, (int, np.integer)) or not 1 <= value <= pairs:
-        raise ValidationError(
-            f"{what} must lie in [1, {pairs}] (the decomposition stores {pairs} "
-            f"nontrivial eigenpairs), got {value!r}"
-        )
-    return int(value)
+    k = decomposition.eigenvalues.size
+    return check_int(value, 1, k, f"{what} (the decomposition stores {k} nontrivial eigenpairs)")
 
 
 def embed(decomposition: SpectralDecomposition, t: int, r: int) -> DiffusionEmbedding:
     """Diffusion map coordinates: coords[i, j] = lambda_{j+1}^t psi_{j+1}(x_i)."""
-    t = _check_time(t)
+    t = check_int(t, 1, None, "diffusion time t")
     r = _check_pair_index(r, decomposition, "embedding dimension r")
     return DiffusionEmbedding(coords=_coords(decomposition, t, r), t=t)
 

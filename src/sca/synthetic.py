@@ -12,7 +12,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .dataset import DataSet
-from .errors import ValidationError
+from .errors import ValidationError, check_int, is_real
 from .prototypes import ComponentLibrary
 
 KINDS = ("swiss-roll", "noisy-circle", "line-chain",
@@ -39,21 +39,16 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown generator kind {self.kind!r}; expected {KINDS}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValidationError(f"n must be >= 2, got {self.n}")
-        if self.n > 2**32:
-            raise ValidationError(f"n must be <= 2**32, one 32-bit word per index, got {self.n}")
-        if not 0 <= self.noise_sd < np.inf:
-            raise ValidationError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
-        if self.kind == "component-families" and not 1 <= self.n_families <= self.n:
-            raise ValidationError("n_families must lie in [1, n]")
-        if self.kind in LIBRARY_KINDS and self.n_bins < 8:
-            raise ValidationError("n_bins must be >= 8")
-        if not 0 <= self.separation < np.inf:
-            raise ValidationError(
-                f"separation must be finite and nonnegative, got {self.separation}")
+        # a point's index is one 32-bit word of its stream's seed
+        check_int(self.n, 2, 2**32, "n")
+        for name, value in (("noise_sd", self.noise_sd), ("separation", self.separation)):
+            if not (is_real(value) and 0 <= value < np.inf):
+                raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+        check_int(self.seed, 0, None, "seed")
+        if self.kind == "component-families":
+            check_int(self.n_families, 1, self.n, "n_families")
+        if self.kind in LIBRARY_KINDS:
+            check_int(self.n_bins, 8, None, "n_bins")
 
 
 # numpy's SeedSequence hash with its 4-word pool

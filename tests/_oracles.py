@@ -8,10 +8,9 @@ spectrum, so that the two can be compared.
 import numpy as np
 
 from sca import kernels
-from sca.errors import NumericalError, ValidationError
+from sca.errors import NumericalError, ValidationError, check_int
 from sca.markov import TransitionMatrix
 from sca.nystrom import ExtensionModel
-from sca.spectral import _check_time
 
 
 def power_stationary(transition: TransitionMatrix, max_iter: int = 10000,
@@ -38,7 +37,7 @@ def diffusion_distance(transition: TransitionMatrix, phi0: np.ndarray,
     A_t obtained by explicit matrix powering.  This is the oracle route
     and is never approximated.
     """
-    t = _check_time(t)
+    t = check_int(t, 1, None, "diffusion time t")
     n = transition.n
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError(f"indices ({i}, {j}) out of range for n={n}")
@@ -50,7 +49,7 @@ def diffusion_distance(transition: TransitionMatrix, phi0: np.ndarray,
 def diffusion_distance_matrix(transition: TransitionMatrix, phi0: np.ndarray,
                               t: int) -> np.ndarray:
     """All-pairs version of :func:`diffusion_distance` (same matrix powering)."""
-    t = _check_time(t)
+    t = check_int(t, 1, None, "diffusion time t")
     a_t = np.linalg.matrix_power(transition.matrix, t)
     scaled = a_t / np.sqrt(phi0)[None, :]
     n = transition.n

@@ -376,10 +376,11 @@ def test_ids_with_commas_and_quotes_survive_embed(tmp_path):
 
 @pytest.mark.parametrize("argv,message", [
     (["regress", "--input", "{d}", "--response", "response", "--seed", "-1"],
-     "seed must be nonnegative"),
-    (["prototype", "--input", "{lib}", "--k", "3", "--seed", "-1"], "seed must be nonnegative"),
+     "seed must be an integer >= 0, got -1"),
+    (["prototype", "--input", "{lib}", "--k", "3", "--seed", "-1"],
+     "seed must be an integer >= 0, got -1"),
     (["bench-quantization", "--input", "{lib}", "--k", "3", "--trials", "1", "--seed", "-2"],
-     "seed must be nonnegative"),
+     "seed must be an integer >= 0, got -2"),
     (["embed", "--input", "{d}", "--response", "response", "--epsilon", "inf"],
      "epsilon must be a positive finite real"),
     (["embed", "--input", "{d}", "--response", "response", "--epsilon", "foo"],
@@ -435,7 +436,8 @@ def test_gen_n_past_a_32_bit_index_exits_1(tmp_path, capsys):
     out = tmp_path / "g.csv"
     assert main(["gen", "--kind", "swiss-roll", "--n", "4294967297", "--seed", "1",
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: n must be <= 2**32")
+    assert capsys.readouterr().err.startswith(
+        "error: n must lie in [2, 4294967296], got 4294967297")
     assert not list(tmp_path.iterdir())
 
 
@@ -627,7 +629,7 @@ def test_library_ref_index_out_of_range_exits_1(tmp_path, capsys, subcommand):
         argv += ["--out-prefix", str(tmp_path / "proto")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "ref_index 99 out of range for d=40" in err
+    assert err.startswith("error:") and "ref_index must lie in [0, 39], got 99" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lib.csv", "lib.csv.meta.json"]
 

@@ -224,7 +224,8 @@ def test_truncated_decomposition_bounds_r_and_j_by_stored_pairs():
     q = np.array([[0.1, -0.2], [0.3, 0.4]])
     np.testing.assert_array_equal(extend_embedding(short, q, 1, 3),
                                   extend_embedding(ext, q, 1, 3))
-    with pytest.raises(ValidationError, match=r"\[1, 3\] \(the decomposition stores 3"):
+    with pytest.raises(ValidationError,
+                       match=r"stores 3 nontrivial eigenpairs\) must lie in \[1, 3\]"):
         extend_embedding(short, q, 1, 5)
     with pytest.raises(ValidationError, match="stores 3"):
         extend_eigenfunctions(short, q[:1], 4)

@@ -68,7 +68,7 @@ def test_library_normalize_classmethod():
 
 @pytest.mark.parametrize("ref_index", [4, 99, -1])
 def test_library_normalize_rejects_out_of_range_ref_index(ref_index):
-    with pytest.raises(ValidationError, match=f"ref_index {ref_index} out of range for d=4"):
+    with pytest.raises(ValidationError, match=rf"ref_index must lie in \[0, 3\], got {ref_index}"):
         ComponentLibrary.normalize(np.ones((2, 4)), [1.0, 2.0], [0.1, 0.2],
                                    ref_index=ref_index)
 
@@ -135,7 +135,7 @@ def test_kmeans_more_clusters_than_distinct_components_raises():
 
 
 def test_kmeans_negative_seed_rejected():
-    with pytest.raises(ValidationError, match="seed must be nonnegative"):
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0, got -1"):
         diffusion_kmeans(_families_library(n=10), 2, seed=-1)
 
 
@@ -548,9 +548,9 @@ def test_benchmark_single_trial_bookkeeping():
 
 
 def test_benchmark_needs_a_trial():
-    with pytest.raises(ValidationError, match="n_trials must be >= 1, got 0"):
+    with pytest.raises(ValidationError, match="n_trials must be an integer >= 1, got 0"):
         quantization_benchmark(_families_library(n=10), 3, 0, 0.01, seed=2)
-    with pytest.raises(ValidationError, match="n_trials must be >= 1, got 1.5"):
+    with pytest.raises(ValidationError, match="n_trials must be an integer >= 1, got 1.5"):
         quantization_benchmark(_families_library(n=10), 3, 1.5, 0.01, seed=2)
 
 

@@ -250,7 +250,7 @@ def test_folds_out_of_range():
 def test_negative_seed_rejected():
     data, dec, emb, ext = _healthy_setup(12, 2, 10)
     labeled = _with_response(data, data.points[:, 0])
-    with pytest.raises(ValidationError, match="seed must be nonnegative"):
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0, got -1"):
         fit(labeled, emb, ext, folds=4, seed=-1)
 
 

@@ -119,7 +119,7 @@ def test_invalid_specs_rejected():
 
 def test_n_past_a_32_bit_point_index_rejected():
     assert GeneratorSpec(kind="line-chain", n=2**32).n == 2**32
-    with pytest.raises(ValidationError, match=r"n must be <= 2\*\*32, one 32-bit word"):
+    with pytest.raises(ValidationError, match=r"n must lie in \[2, 4294967296\], got 4294967297"):
         GeneratorSpec(kind="line-chain", n=2**32 + 1)
 
 
