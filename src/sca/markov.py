@@ -7,6 +7,7 @@ import numpy as np
 
 from .dataset import _check_kind, _point_dissimilarity, frozen_array, validate_dissimilarity
 from .errors import NumericalError, ValidationError, is_real
+from .kernels import BLOCK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -79,16 +80,21 @@ def _gaussian_chain(dmat: np.ndarray, epsilon: Optional[float], diss_kind: str,
     if dmat.shape[0] < 2:
         raise ValidationError("need at least 2 observations")
     epsilon = default_epsilon(dmat) if epsilon is None else _check_epsilon(epsilon)
-    # one n x n buffer: exp(-D/eps) computed in place, then frozen as it is
-    weights = _gaussian_kernel(dmat, epsilon, out)
-    if not weights.all():
-        i, j = np.argwhere(weights == 0.0)[0]
-        raise NumericalError(
-            f"kernel entry underflowed to zero at row {i} (pair {i},{j}); "
-            f"epsilon={epsilon!r} is far too small for this dissimilarity scale"
-        )
+    # one n x n buffer, filled with exp(-D/eps) a row block at a time, each
+    # block checked and summed while it is in cache, then frozen as it is
+    weights = np.empty(dmat.shape) if out is None else out
+    sums = np.empty(dmat.shape[0])
+    step = max(1, BLOCK_ENTRIES // sums.size)
+    for lo in range(0, sums.size, step):
+        block = _gaussian_kernel(dmat[lo:lo + step], epsilon, weights[lo:lo + step])
+        if not block.all():
+            i, j = np.argwhere(block == 0.0)[0]
+            raise NumericalError(
+                f"kernel entry underflowed to zero at row {lo + i} (pair {lo + i},{j}); "
+                f"epsilon={epsilon!r} is far too small for this dissimilarity scale")
+        block.sum(axis=1, out=sums[lo:lo + step])
     weights.setflags(write=False)
-    return TransitionMatrix(kernel=weights, kernel_row_sums=weights.sum(axis=1),
+    return TransitionMatrix(kernel=weights, kernel_row_sums=sums,
                             epsilon=float(epsilon), diss_kind=diss_kind)
 
 

@@ -321,8 +321,8 @@ def fit_mixture(proto: PrototypeSet, y: np.ndarray, noise_sd: float = 1.0) -> Mi
     reaches from the best vertex.  The derived mean log age and log
     metallicity then depend on that choice.
     """
-    if not noise_sd > 0:
-        raise ValidationError(f"noise_sd must be positive, got {noise_sd}")
+    if not (is_real(noise_sd) and 0 < noise_sd < np.inf):
+        raise ValidationError(f"noise_sd must be a positive finite real, got {noise_sd!r}")
     p = proto.prototypes
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (p.shape[1],):

@@ -64,6 +64,10 @@ def kfold_indices(n: int, folds: int, seed: int):
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
+# Largest cond_2 of a design scored through X^T X (error about eps cond^2).
+_GRAM_COND_MAX = 10.0
+
+
 def _design(basis: np.ndarray, p: int) -> np.ndarray:
     return np.column_stack([np.ones(basis.shape[0]), basis[:, :p]])
 
@@ -71,18 +75,39 @@ def _design(basis: np.ndarray, p: int) -> np.ndarray:
 def basis_risk_curve(basis: np.ndarray, y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """K-fold CV squared-error risk for each truncation p = 1..r.
 
-    Folds reuse the full-sample basis and refit coefficients only; see
-    :func:`_fold_squared_errors` for how one fold scores every p.
+    Folds reuse the full-sample basis and refit coefficients only.  Each
+    fold scores every p by :func:`_gram_fold_squared_errors` on X^T X less
+    the held-out rows' share, or else by :func:`_fold_squared_errors`.
     """
     n, r = basis.shape
     design = _design(basis, r)
+    gram, moment = design.T @ design, design.T @ y
     total_sq = np.zeros(r)
     for held_out in kfold_indices(n, folds, seed):
-        train = np.ones(n, dtype=bool)
-        train[held_out] = False
-        total_sq += _fold_squared_errors(design[train], y[train],
-                                         design[held_out], y[held_out])
+        held_x, held_y = design[held_out], y[held_out]
+        errors = _gram_fold_squared_errors(gram, moment, n, held_x, held_y)
+        if errors is None:
+            errors = _fold_squared_errors(np.delete(design, held_out, axis=0),
+                                          np.delete(y, held_out), held_x, held_y)
+        total_sq += errors
     return total_sq / n
+
+
+def _gram_fold_squared_errors(gram, moment, n, held_x, held_y):
+    """``_fold_squared_errors`` from X^T X and X^T y of all n rows, less the
+    held-out rows' share: with L = chol(X^T X) = R^T for the training X, the
+    partial sums of (held_x L^{-T}) * (L^{-1} X^T y) are those of the thin
+    QR.  None, for the fallback, unless X has at least as many rows as
+    columns and cond_2(L) = cond_2(X) <= ``_GRAM_COND_MAX``."""
+    try:
+        chol = np.linalg.cholesky(gram - held_x.T @ held_x)
+    except np.linalg.LinAlgError:
+        return None
+    if not (n - held_x.shape[0] >= chol.shape[0] and np.linalg.cond(chol) <= _GRAM_COND_MAX):
+        return None
+    inv = np.linalg.inv(chol)
+    preds = np.cumsum((held_x @ inv.T) * (inv @ (moment - held_x.T @ held_y))[None, :], axis=1)
+    return np.sum((preds[:, 1:] - held_y[:, None]) ** 2, axis=0)
 
 
 def _fold_squared_errors(train_x, train_y, held_x, held_y) -> np.ndarray:

@@ -160,26 +160,26 @@ def _krylov_pairs(kernel: np.ndarray, scale: np.ndarray, v0: np.ndarray,
     The basis V grows one ``block`` at a time from a start block of v0 and
     seeded Gaussian columns.  Each new block is the image M X of the last
     one, orthonormalized against all of V by two passes of block
-    Gram-Schmidt, each followed by a Householder QR (the second pass works
-    on unit columns, so a column the first left at rounding level still
-    comes out orthogonal to V).  Each image is taken once, as
-    scale * (W (scale * X)), so M is never formed, and H = V^T M V grows by
-    one block row with V.  V and its image are column-major and grow by
-    doubling.  Rayleigh-Ritz on H stops when every wanted pair has
-    ||M x - theta x||_2 <= ``_RESIDUAL_TOL`` (||M||_2 = 1 for a diffusion
-    operator) and returns (theta, X) in descending order.  Otherwise the
-    log of the largest residual is projected to fall with the square of
-    the basis size, as Krylov convergence speeds up while the basis grows:
-    the next Rayleigh-Ritz runs at the projected size, and the solver
-    returns None once that size or the next block would pass
-    ``_BASIS_CAP`` * n columns.
+    Gram-Schmidt, each followed by a Cholesky QR (the second pass works on
+    near-unit columns, so what the first left at rounding level, or not
+    quite orthonormal, comes out orthonormal and orthogonal to V).  Each
+    image is taken once, as scale * (W (scale * X)), so M is never formed,
+    and H = V^T M V grows by one block row with V.  V and its image are
+    column-major and grow by doubling.  Rayleigh-Ritz on H stops when
+    every wanted pair has ||M x - theta x||_2 <= ``_RESIDUAL_TOL``
+    (||M||_2 = 1 for a diffusion operator) and returns (theta, X) in
+    descending order.  Otherwise the log of the largest residual is
+    projected to fall with the square of the basis size, as Krylov
+    convergence speeds up while the basis grows: the next Rayleigh-Ritz
+    runs at the projected size, and the solver returns None once that
+    size or the next block would pass ``_BASIS_CAP`` * n columns.
     """
     n = kernel.shape[0]
     scale = scale[:, None]
     cap = _BASIS_CAP * n
     start = np.random.default_rng(_START_SEED).standard_normal((n, block))
     start[:, 0] = v0
-    x = np.linalg.qr(start)[0]
+    x = _orthonormal(start)
     basis, image, h = np.empty((n, 0)), np.empty((n, 0)), np.empty((0, 0))
     k = target = 0
     while True:
@@ -207,8 +207,19 @@ def _krylov_pairs(kernel: np.ndarray, scale: np.ndarray, v0: np.ndarray,
             if k * k > share * cap * cap or k + block > cap:
                 return None
             target = k / np.sqrt(share)
-        w = np.linalg.qr(mx - v @ projection)[0]
-        x = np.linalg.qr(w - v @ (v.T @ w))[0]
+        w = _orthonormal(mx - v @ projection)
+        x = _orthonormal(w - v @ (v.T @ w))
+
+
+def _orthonormal(a: np.ndarray) -> np.ndarray:
+    """Q of a thin QR of ``a``: Cholesky QR, a chol(a^T a)^{-T}, or Householder
+    where a^T a is not numerically positive definite.  Orthogonality is lost
+    like eps cond(a)^2, so ``_krylov_pairs`` applies it twice (CholeskyQR2)."""
+    try:
+        chol = np.linalg.cholesky(a.T @ a)
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(a)[0]
+    return a @ np.linalg.inv(chol).T
 
 
 def _check_pair_index(value, decomposition: SpectralDecomposition, what: str) -> int:

@@ -14,8 +14,8 @@ from sca.dataset import Dissimilarity, pairwise_dissimilarity
 from sca.errors import ValidationError
 from sca.markov import build_transition, transition_from_points
 from sca.nystrom import ExtensionModel, extend_eigenfunctions, extend_embedding
-from sca.prototypes import (ComponentLibrary, PrototypeSet, diffusion_kmeans, grid_prototypes,
-                            quantization_benchmark)
+from sca.prototypes import (ComponentLibrary, PrototypeSet, diffusion_kmeans, fit_mixture,
+                            grid_prototypes, quantization_benchmark)
 from sca.regression import EigenbasisRegression, fit, kfold_indices
 from sca.spectral import DiffusionEmbedding, SpectralDecomposition, decompose, embed
 from sca.synthetic import GeneratorSpec
@@ -192,6 +192,9 @@ _ARGUMENT_SITES = [
      lambda f, v: quantization_benchmark(f.lib, 2, v, 0.01, 0), _NOT_INTEGERS),
     ("benchmark-noise", "noise_sd",
      lambda f, v: quantization_benchmark(f.lib, 2, 1, v, 0), _NOT_REALS),
+    ("mixture-noise", "noise_sd",
+     lambda f, v: fit_mixture(grid_prototypes(f.lib, 2), f.lib.spectra[0], noise_sd=v),
+     _NOT_REALS),
     ("spec-n", "n", lambda f, v: GeneratorSpec(kind="swiss-roll", n=v), _NOT_INTEGERS),
     ("spec-seed", "seed",
      lambda f, v: GeneratorSpec(kind="swiss-roll", n=30, seed=v), _NOT_INTEGERS),

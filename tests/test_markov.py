@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sca.errors import NumericalError, ValidationError
+from sca.kernels import BLOCK_ENTRIES
 from sca.markov import (
     build_transition,
     default_epsilon,
@@ -72,6 +73,34 @@ def test_entry_underflow_raises_with_row():
     dmat = _dmat_from_points([[0.0], [1.0], [100.0]])
     with pytest.raises(NumericalError, match="row 0"):
         build_transition(dmat, epsilon=1e-3)
+
+
+def _symmetric_dissimilarities(n, seed):
+    upper = np.triu(np.random.default_rng(seed).uniform(0.5, 1.5, size=(n, n)), 1)
+    return upper + upper.T
+
+
+def test_underflow_in_a_later_row_block_names_the_first_zero_in_row_major_order():
+    # 300 rows: blocks of 109, the last partial.  Only the pair (150, 200)
+    # underflows, and its first zero in row-major order lies in block 2
+    n, eps = 300, 1.0
+    step = BLOCK_ENTRIES // n
+    dmat = _symmetric_dissimilarities(n, 3)
+    dmat[150, 200] = dmat[200, 150] = 1e4
+    i, j = np.argwhere(np.exp(-dmat / eps) == 0)[0]
+    assert step <= i < 2 * step
+    with pytest.raises(NumericalError, match=rf"at row {i} \(pair {i},{j}\)"):
+        build_transition(dmat, eps)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_blocked_kernel_and_row_sums_are_bitwise_the_whole_matrix_ones(n):
+    assert n % (BLOCK_ENTRIES // n) != 0
+    dmat = _symmetric_dissimilarities(n, n)
+    t = build_transition(dmat, 0.7)
+    weights = np.exp(-dmat / 0.7)
+    assert np.array_equal(t.kernel, weights)
+    assert np.array_equal(t.kernel_row_sums, weights.sum(axis=1))
 
 
 def test_asymmetric_matrix_rejected():

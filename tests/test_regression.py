@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sca import nystrom
+from sca import nystrom, regression
 from sca.dataset import DataSet
 from sca.errors import NumericalError, ValidationError
 from sca.markov import build_transition
@@ -350,6 +350,45 @@ def test_qr_risk_curve_matches_lstsq_on_rank_deficient_columns():
     basis = rng.normal(size=(50, 6))
     basis[:, 2] = basis[:, 0]
     _assert_risks_match_oracle(basis, rng.normal(size=50), 5, 2)
+
+
+def _count_fold_routes(monkeypatch):
+    """Folds scored through the Gram factor and by the thin-QR fallback."""
+    routes = {"gram": 0, "qr": 0}
+    gram, qr = regression._gram_fold_squared_errors, regression._fold_squared_errors
+
+    def gram_spy(*args):
+        errors = gram(*args)
+        routes["gram"] += errors is not None
+        return errors
+
+    def qr_spy(*args):
+        routes["qr"] += 1
+        return qr(*args)
+    monkeypatch.setattr(regression, "_gram_fold_squared_errors", gram_spy)
+    monkeypatch.setattr(regression, "_fold_squared_errors", qr_spy)
+    return routes
+
+
+def test_gram_risk_curve_matches_lstsq_on_swiss_roll_psi(monkeypatch):
+    # [1, psi] is well conditioned (psi is phi0-orthonormal), so every fold
+    # is scored from the Cholesky factor of its downdated Gram matrix
+    data = generate(GeneratorSpec(kind="swiss-roll", n=400, noise_sd=0.3, seed=4))
+    _, dec, _, _ = full_pipeline(data, r=50)
+    routes = _count_fold_routes(monkeypatch)
+    _assert_risks_match_oracle(dec.eigenvectors, data.response, 10, 3)
+    assert routes == {"gram": 10, "qr": 0}
+
+
+def test_near_collinear_basis_falls_back_to_qr_on_every_fold(monkeypatch):
+    # column 4 is column 2 plus 1e-3 noise: cond(X) ~ 1e3 > 10, so the Gram
+    # route would lose about cond^2 eps and every fold takes the thin QR
+    rng = np.random.default_rng(8)
+    basis = rng.normal(size=(200, 8))
+    basis[:, 3] = basis[:, 1] + 1e-3 * rng.normal(size=200)
+    routes = _count_fold_routes(monkeypatch)
+    _assert_risks_match_oracle(basis, rng.normal(size=200), 5, 2)
+    assert routes == {"gram": 0, "qr": 5}
 
 
 def test_fit_and_predict_do_not_depend_on_diffusion_time():

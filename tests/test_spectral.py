@@ -352,6 +352,28 @@ def test_krylov_pairs_match_full_eigh_on_swiss_roll(monkeypatch, n, r):
     _assert_matches_oracle(transition, dec)
 
 
+def test_krylov_basis_falls_back_to_householder_when_cholesky_fails(monkeypatch):
+    transition = _transition_of(_swiss_roll(400))
+    _forbid_full_eigh(monkeypatch)
+    failed, householder = [], []
+    qr = np.linalg.qr
+
+    def no_cholesky(gram):
+        failed.append(gram.shape)
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    def counted_qr(a, *args, **kwargs):
+        householder.append(a.shape[1])
+        return qr(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    dec = decompose(transition, 10)
+    # the start block, then two passes per block after it
+    assert len(failed) == len(householder) >= 3 and len(failed) % 2 == 1
+    assert set(householder) == {19}
+    _assert_matches_oracle(transition, dec)
+
+
 def test_krylov_basis_at_the_median_bandwidth_stops_after_four_blocks(monkeypatch):
     # r = 50: blocks of 59 columns, each multiplied by W once
     transition = _transition_of(_swiss_roll(1000))
