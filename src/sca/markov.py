@@ -69,7 +69,7 @@ def transition_from_points(points: np.ndarray, diss_kind: str = "sqeuclidean",
     checked: finite coordinates far enough apart overflow.
     """
     dmat = _point_dissimilarity(points, diss_kind)
-    if not np.isfinite(dmat).all():
+    if not np.isfinite(dmat.max()):  # D >= 0: +inf or NaN makes the max non-finite
         raise ValidationError("dissimilarity matrix has non-finite entries")
     return _gaussian_chain(dmat, epsilon, diss_kind, out=dmat)
 

@@ -75,60 +75,48 @@ def _design(basis: np.ndarray, p: int) -> np.ndarray:
 def basis_risk_curve(basis: np.ndarray, y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """K-fold CV squared-error risk for each truncation p = 1..r.
 
-    Folds reuse the full-sample basis and refit coefficients only.  Each
-    fold scores every p by :func:`_gram_fold_squared_errors` on X^T X less
-    the held-out rows' share, or else by :func:`_fold_squared_errors`.
+    Folds reuse the full-sample basis and refit coefficients only; each
+    is scored by :func:`_fold_squared_errors` from X^T X and X^T y of the
+    whole design.
     """
     n, r = basis.shape
     design = _design(basis, r)
     gram, moment = design.T @ design, design.T @ y
     total_sq = np.zeros(r)
     for held_out in kfold_indices(n, folds, seed):
-        held_x, held_y = design[held_out], y[held_out]
-        errors = _gram_fold_squared_errors(gram, moment, n, held_x, held_y)
-        if errors is None:
-            errors = _fold_squared_errors(np.delete(design, held_out, axis=0),
-                                          np.delete(y, held_out), held_x, held_y)
-        total_sq += errors
+        total_sq += _fold_squared_errors(design, y, held_out, gram, moment)
     return total_sq / n
 
 
-def _gram_fold_squared_errors(gram, moment, n, held_x, held_y):
-    """``_fold_squared_errors`` from X^T X and X^T y of all n rows, less the
-    held-out rows' share: with L = chol(X^T X) = R^T for the training X, the
-    partial sums of (held_x L^{-T}) * (L^{-1} X^T y) are those of the thin
-    QR.  None, for the fallback, unless X has at least as many rows as
-    columns and cond_2(L) = cond_2(X) <= ``_GRAM_COND_MAX``."""
+def _fold_squared_errors(design, y, held_out, gram, moment) -> np.ndarray:
+    """Held-out squared error of the least-squares fit on columns 0..p, p = 1..r.
+
+    One lower-triangular L with training X = Q L^T serves every p: the fit
+    on columns 0..p predicts the p-th partial sum of (held_x L^{-T}) * c,
+    c = L^{-1} X^T y = Q^T y.  L is the Cholesky factor of X^T X less the
+    held-out rows' share (error about eps cond(X)^2) if X has at least as
+    many rows as columns and cond_2(L) <= ``_GRAM_COND_MAX``, else R^T of a
+    thin QR of the training rows.  From the first numerically zero |L_jj| on
+    (and for p + 1 beyond the training rows) each p takes the minimum-norm
+    ``lstsq`` fit.
+    """
+    held_x, held_y = design[held_out], y[held_out]
+    m, k = design.shape[0] - held_out.size, design.shape[1]
     try:
         chol = np.linalg.cholesky(gram - held_x.T @ held_x)
     except np.linalg.LinAlgError:
-        return None
-    if not (n - held_x.shape[0] >= chol.shape[0] and np.linalg.cond(chol) <= _GRAM_COND_MAX):
-        return None
-    inv = np.linalg.inv(chol)
-    preds = np.cumsum((held_x @ inv.T) * (inv @ (moment - held_x.T @ held_y))[None, :], axis=1)
-    return np.sum((preds[:, 1:] - held_y[:, None]) ** 2, axis=0)
-
-
-def _fold_squared_errors(train_x, train_y, held_x, held_y) -> np.ndarray:
-    """Held-out squared error of the least-squares fit on columns 0..p, p = 1..r.
-
-    One thin QR of the training design serves every p: with Q^T y = c,
-    the fit on the leading p+1 columns predicts held_x[:, :p+1] R_p^{-1}
-    c[:p+1], the p-th partial sum of (held_x R^{-1}) * c.  From the first
-    numerically zero |R_jj| on (and for p + 1 beyond the training rows)
-    each p falls back to the minimum-norm ``lstsq`` solution.
-    """
-    m, k = train_x.shape
-    q, rr = np.linalg.qr(train_x)
-    pivots = np.abs(np.diag(rr))
+        chol = None
+    on_gram = chol is not None and m >= k and np.linalg.cond(chol) <= _GRAM_COND_MAX
+    if not on_gram:
+        train_x, train_y = np.delete(design, held_out, axis=0), np.delete(y, held_out)
+        q, rr = np.linalg.qr(train_x)
+        chol, c = rr.T, q.T @ train_y
+    pivots = np.abs(np.diag(chol))
     zero = np.flatnonzero(pivots <= max(m, k) * np.finfo(float).eps * pivots.max())
     solved = int(zero[0]) if zero.size else pivots.size
-    # z = held_x[:, :solved] R^{-1} by forward substitution over the columns
-    z = np.empty((held_x.shape[0], solved))
-    for j in range(solved):
-        z[:, j] = (held_x[:, j] - z[:, :j] @ rr[:j, j]) / rr[j, j]
-    preds = np.cumsum(z * (q.T[:solved] @ train_y)[None, :], axis=1)
+    inv = np.linalg.inv(chol[:solved, :solved])
+    c = inv @ (moment - held_x.T @ held_y) if on_gram else c[:solved]
+    preds = np.cumsum((held_x[:, :solved] @ inv.T) * c, axis=1)
     errors = np.empty(k - 1)
     errors[:solved - 1] = np.sum((preds[:, 1:] - held_y[:, None]) ** 2, axis=0)
     for p in range(solved, k):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sca import nystrom, regression
+from sca import nystrom
 from sca.dataset import DataSet
 from sca.errors import NumericalError, ValidationError
 from sca.markov import build_transition
@@ -353,20 +353,24 @@ def test_qr_risk_curve_matches_lstsq_on_rank_deficient_columns():
 
 
 def _count_fold_routes(monkeypatch):
-    """Folds scored through the Gram factor and by the thin-QR fallback."""
+    """Folds scored through the Gram factor and through a thin QR, counted by
+    a spy on np.linalg.qr that is live only inside ``basis_risk_curve``: a
+    fold makes one QR exactly when it leaves the Gram route."""
     routes = {"gram": 0, "qr": 0}
-    gram, qr = regression._gram_fold_squared_errors, regression._fold_squared_errors
+    qr, curve = np.linalg.qr, basis_risk_curve
 
-    def gram_spy(*args):
-        errors = gram(*args)
-        routes["gram"] += errors is not None
-        return errors
-
-    def qr_spy(*args):
+    def qr_spy(*args, **kwargs):
         routes["qr"] += 1
-        return qr(*args)
-    monkeypatch.setattr(regression, "_gram_fold_squared_errors", gram_spy)
-    monkeypatch.setattr(regression, "_fold_squared_errors", qr_spy)
+        return qr(*args, **kwargs)
+
+    def curve_spy(basis, y, folds, seed):
+        before = routes["qr"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "qr", qr_spy)
+            risks = curve(basis, y, folds, seed)
+        routes["gram"] += folds - (routes["qr"] - before)
+        return risks
+    monkeypatch.setitem(globals(), "basis_risk_curve", curve_spy)
     return routes
 
 
@@ -389,6 +393,19 @@ def test_near_collinear_basis_falls_back_to_qr_on_every_fold(monkeypatch):
     routes = _count_fold_routes(monkeypatch)
     _assert_risks_match_oracle(basis, rng.normal(size=200), 5, 2)
     assert routes == {"gram": 0, "qr": 5}
+
+
+def test_two_density_psi_basis_mixes_the_routes(monkeypatch):
+    # a blob half as wide as the rest: at r = 20 the folds whose [1, psi]
+    # keeps cond 6.8-7.2 take the Gram route, those at 37-67 the thin QR
+    rng = np.random.default_rng(6)
+    points = np.vstack([0.5 * rng.normal(size=(320, 2)), rng.normal(size=(80, 2))])
+    y = points[:, 0] + 0.1 * rng.normal(size=400)
+    data = DataSet(points=points, ids=tuple(str(i) for i in range(400)), response=y)
+    _, dec, _, _ = full_pipeline(data)
+    routes = _count_fold_routes(monkeypatch)
+    _assert_risks_match_oracle(dec.eigenvectors[:, :20], y, 10, 0)
+    assert routes["gram"] >= 1 and routes["qr"] >= 1
 
 
 def test_fit_and_predict_do_not_depend_on_diffusion_time():
