@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ValidationError
+from .errors import ValidationError, check_array, real_array
 
 DISS_KINDS = ("sqeuclidean", "euclidean")
 
@@ -34,6 +34,13 @@ def frozen_array(values, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def frozen_field(obj, name: str, shape: tuple) -> np.ndarray:
+    """Set field ``name`` of ``obj`` to frozen_array(check_array(value)), and return it."""
+    value = frozen_array(check_array(getattr(obj, name), shape, name))
+    object.__setattr__(obj, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class DataSet:
     """n observed objects as d-dimensional vectors, with optional responses.
@@ -47,32 +54,22 @@ class DataSet:
     response: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValidationError("points must be a 2-D matrix")
-        n, d = pts.shape
+        n, d = frozen_field(self, "points", (None, None)).shape
         if n < 2:
             raise ValidationError(f"need at least 2 observations, got {n}")
         if d < 1:
             raise ValidationError("need at least 1 feature column")
-        if not np.isfinite(pts).all():
-            raise ValidationError("points contain non-finite entries")
-        ids = tuple(str(i) for i in self.ids)
+        try:
+            ids = tuple(str(i) for i in self.ids)
+        except TypeError:
+            raise ValidationError(f"ids must be a sequence, got {self.ids!r}") from None
         if len(ids) != n:
             raise ValidationError(f"expected {n} ids, got {len(ids)}")
         if len(set(ids)) != n:
             raise ValidationError("duplicate row identifiers")
-        object.__setattr__(self, "points", frozen_array(pts))
         object.__setattr__(self, "ids", ids)
         if self.response is not None:
-            resp = np.asarray(self.response, dtype=np.float64)
-            if resp.shape != (n,):
-                raise ValidationError(
-                    f"response must have length {n}, got shape {resp.shape}"
-                )
-            if not np.isfinite(resp).all():
-                raise ValidationError("response contains non-finite entries")
-            object.__setattr__(self, "response", frozen_array(resp))
+            frozen_field(self, "response", (n,))
 
     @property
     def n(self) -> int:
@@ -103,7 +100,7 @@ def _check_kind(kind: str) -> None:
 def validate_dissimilarity(values, what: str = "dissimilarity matrix") -> np.ndarray:
     """``values`` as a float64 matrix that is square, finite, non-negative,
     symmetric and zero on the diagonal; each fault names ``what``."""
-    dmat = np.asarray(values, dtype=np.float64)
+    dmat = real_array(values, what)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise ValidationError(f"{what} must be square")
     # NaN carries through both reductions, -inf shows in the least entry
@@ -145,9 +142,7 @@ def _point_dissimilarity(points, kind: str = "sqeuclidean",
     Finite coordinates far apart overflow to inf, for the caller to report,
     and not as a floating-point warning."""
     _check_kind(kind)
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValidationError("points must be a 2-D matrix")
+    pts = check_array(points, (None, None), "points")
     with np.errstate(over="ignore"):
         if reference is None:
             dmat = kernels.pairwise_sq_dists(pts)

@@ -23,11 +23,9 @@ BLOCK_ENTRIES = 1 << 15
 
 
 def _sq_dists(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(m, n) squared distances, summed over coordinates in index order
-    (d >= 1).  The first square is written straight into the output: it
-    equals 0.0 + square bit for bit, as every square is at least +0.0."""
-    q = np.asarray(q, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    """(m, n) squared distances between float64 rows, summed over coordinates
+    in index order (d >= 1).  The first square is written straight into the
+    output: it equals 0.0 + square bit for bit, as every square is >= +0.0."""
     m, d = q.shape
     n = x.shape[0]
     out = np.empty((m, n), dtype=np.float64)

@@ -6,7 +6,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import _check_kind, _point_dissimilarity, frozen_array, validate_dissimilarity
-from .errors import NumericalError, ValidationError, is_real
+from .errors import NumericalError, ValidationError, is_real, real_array
 from .kernels import BLOCK_ENTRIES
 
 
@@ -123,7 +123,7 @@ def default_epsilon(dmat: np.ndarray) -> float:
     called because its NaN check imports ``numpy.ma`` (12 ms and 0.6 MB
     on first use).
     """
-    dmat = np.asarray(dmat, dtype=np.float64)
+    dmat = real_array(dmat, "dissimilarity matrix")
     n = dmat.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 observations")
@@ -140,10 +140,8 @@ def default_epsilon(dmat: np.ndarray) -> float:
     else:
         med = float((upper[low] + upper[low + 1:].min()) / 2)
     if not med > 0:
-        raise ValidationError(
-            "off-diagonal dissimilarities are degenerate (median is zero); "
-            "are all points identical?"
-        )
+        raise ValidationError("off-diagonal dissimilarities are degenerate (median is "
+                              "zero); are all points identical?")
     return med
 
 

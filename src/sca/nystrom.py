@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DISS_KINDS, DataSet, _point_dissimilarity, frozen_array
-from .errors import NumericalError, ValidationError, check_int
+from .dataset import DISS_KINDS, DataSet, _point_dissimilarity, frozen_field
+from .errors import NumericalError, ValidationError, check_array, check_int
 from .markov import TransitionMatrix, _check_epsilon, _gaussian_kernel
 from .spectral import SpectralDecomposition, _check_pair_index
 
@@ -36,16 +36,9 @@ class ExtensionModel:
 
     def __post_init__(self):
         if self.diss_kind not in DISS_KINDS:
-            raise ValidationError(
-                "out-of-sample extension needs a computable dissimilarity; "
-                f"kind {self.diss_kind!r} has no values for unseen points"
-            )
-        object.__setattr__(self, "points", frozen_array(self.points))
-        if self.points.ndim != 2 or self.n != self.decomposition.n:
-            raise ValidationError(f"points must be an n x d matrix with the decomposition's "
-                                  f"n = {self.decomposition.n} rows, got {self.points.shape}")
-        if not np.isfinite(self.points).all():
-            raise ValidationError("points contain non-finite entries")
+            raise ValidationError("out-of-sample extension needs a computable dissimilarity; "
+                                  f"kind {self.diss_kind!r} has no values for unseen points")
+        frozen_field(self, "points", (self.decomposition.n, None))
         _check_epsilon(self.epsilon)
 
     @property
@@ -64,17 +57,6 @@ def build_extension(data: DataSet, transition: TransitionMatrix,
         raise ValidationError("dataset and transition sizes disagree")
     return ExtensionModel(points=data.points, decomposition=decomposition,
                           epsilon=transition.epsilon, diss_kind=transition.diss_kind)
-
-
-def _check_queries(model: ExtensionModel, new_points: np.ndarray) -> np.ndarray:
-    q = np.asarray(new_points, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != model.d:
-        raise ValidationError(
-            f"query points must be m x {model.d}, got shape {q.shape}"
-        )
-    if not np.isfinite(q).all():
-        raise ValidationError("query points contain non-finite entries")
-    return q
 
 
 def _query_blocks(model: ExtensionModel, q: np.ndarray):
@@ -122,7 +104,7 @@ def extend_eigenfunctions(model: ExtensionModel, new_points: np.ndarray,
     The queries are weighted in the row blocks of ``_query_blocks``.
     """
     lams = _checked_eigenvalues(model, r)
-    q = _check_queries(model, new_points)
+    q = check_array(new_points, (None, model.d), "query points")
     # contiguous: bitwise equal for a model storing only r pairs, and faster
     psi = np.ascontiguousarray(model.decomposition.eigenvectors[:, :lams.size])
     out = np.empty((q.shape[0], lams.size))

@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .dataset import frozen_array, parse_table
-from .errors import NumericalError, ValidationError, check_int, is_real
-from .markov import transition_from_points
+from .dataset import frozen_array, frozen_field, parse_table
+from .errors import NumericalError, ValidationError, check_array, check_int, is_real
+from .markov import _check_epsilon, transition_from_points
 from .spectral import decompose, embed
 
 KKT_TOL = 1e-8
@@ -37,36 +37,26 @@ class ComponentLibrary:
     ref_index: int = 0
 
     def __post_init__(self):
-        spectra = np.asarray(self.spectra, dtype=np.float64)
-        if spectra.ndim != 2 or spectra.shape[0] < 1:
+        n, d = frozen_field(self, "spectra", (None, None)).shape
+        if n < 1:
             raise ValidationError("spectra must be a nonempty N x d matrix")
-        if not np.isfinite(spectra).all():
-            raise ValidationError("spectra contain non-finite entries")
-        n, d = spectra.shape
         check_int(self.ref_index, 0, d - 1, "ref_index")
-        if not np.allclose(spectra[:, self.ref_index], 1.0, rtol=0, atol=1e-9):
-            raise ValidationError(
-                f"spectra are not normalized to 1 at reference index {self.ref_index}"
-            )
+        if not np.allclose(self.spectra[:, self.ref_index], 1.0, rtol=0, atol=1e-9):
+            raise ValidationError(f"spectra are not normalized to 1 at reference index "
+                                  f"{self.ref_index}")
         for name in ("ages", "metallicities"):
-            vals = np.asarray(getattr(self, name), dtype=np.float64)
-            if vals.shape != (n,):
-                raise ValidationError(f"{name} must have length {n}")
-            if not np.isfinite(vals).all() or (vals <= 0).any():
-                raise ValidationError(f"{name} must be finite and strictly positive")
-            object.__setattr__(self, name, frozen_array(vals))
-        object.__setattr__(self, "spectra", frozen_array(spectra))
+            if (frozen_field(self, name, (n,)) <= 0).any():
+                raise ValidationError(f"{name} must be strictly positive")
 
     @classmethod
     def normalize(cls, spectra, ages, metallicities, ref_index: int = 0):
         """Divide each spectrum by its value at the reference coordinate."""
-        spectra = np.asarray(spectra, dtype=np.float64)
-        check_int(ref_index, 0, spectra.shape[-1] - 1, "ref_index")
+        spectra = check_array(spectra, (None, None), "spectra")
+        check_int(ref_index, 0, spectra.shape[1] - 1, "ref_index")
         ref = spectra[:, ref_index]
-        if (ref <= 0).any() or not np.isfinite(ref).all():
-            raise ValidationError(
-                "cannot normalize: some spectra are nonpositive at the reference index"
-            )
+        if (ref <= 0).any():
+            raise ValidationError("cannot normalize: some spectra are nonpositive at the "
+                                  "reference index")
         return cls(spectra=spectra / ref[:, None], ages=ages,
                    metallicities=metallicities, ref_index=ref_index)
 
@@ -102,22 +92,23 @@ class PrototypeSet:
     epsilon: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("prototypes", "log_ages", "log_metallicities", "member_assignments",
-                     "centroids_diffusion", "member_coords_diffusion"):
-            value = getattr(self, name)
-            if value is not None:
-                dtype = np.int64 if name == "member_assignments" else np.float64
-                object.__setattr__(self, name, frozen_array(value, dtype=dtype))
-        if self.prototypes.ndim != 2:
-            raise ValidationError("prototypes must be a K x d matrix")
-        if self.k == 0:
+        if frozen_field(self, "prototypes", (None, None)).shape[0] == 0:
             raise ValidationError("prototype set is empty; a mixture needs at least one prototype")
-        for name in ("log_ages", "log_metallicities"):
-            if getattr(self, name).shape != (self.k,):
-                raise ValidationError(f"{name} must have length K={self.k}")
-        if not all(np.isfinite(a).all() for a in (self.prototypes, self.log_ages,
-                                                  self.log_metallicities)):
-            raise ValidationError("prototypes and their parameters contain non-finite entries")
+        frozen_field(self, "log_ages", (self.k,))
+        frozen_field(self, "log_metallicities", (self.k,))
+        for name, shape in (("centroids_diffusion", (self.k, None)),
+                            ("member_coords_diffusion", (None, None))):
+            if getattr(self, name) is not None:
+                frozen_field(self, name, shape)
+        if self.member_assignments is not None:
+            labels = np.asarray(self.member_assignments)
+            if labels.dtype.kind not in "iu" or labels.ndim != 1 or (
+                    labels.size and not 0 <= labels.min() <= labels.max() < self.k):
+                raise ValidationError(
+                    f"member_assignments must be a 1-D array of integer labels in [0, {self.k})")
+            object.__setattr__(self, "member_assignments", frozen_array(labels, dtype=np.int64))
+        if self.epsilon is not None:
+            _check_epsilon(self.epsilon)
         object.__setattr__(self, "wcss_history", tuple(float(w) for w in self.wcss_history))
 
     @property
@@ -264,7 +255,7 @@ def grid_prototypes(lib: ComponentLibrary, k: int) -> PrototypeSet:
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=np.float64)
+    v = check_array(v, (None,), "v")
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     ks = np.arange(1, v.size + 1)
@@ -324,11 +315,7 @@ def fit_mixture(proto: PrototypeSet, y: np.ndarray, noise_sd: float = 1.0) -> Mi
     if not (is_real(noise_sd) and 0 < noise_sd < np.inf):
         raise ValidationError(f"noise_sd must be a positive finite real, got {noise_sd!r}")
     p = proto.prototypes
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (p.shape[1],):
-        raise ValidationError(f"observation must have length {p.shape[1]}, got {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValidationError("observation contains non-finite entries")
+    y = check_array(y, (p.shape[1],), "observation")
     k = p.shape[0]
     gram = 2.0 * (p @ p.T)
     lin = 2.0 * (p @ y)

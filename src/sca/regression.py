@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import DataSet, frozen_array
-from .errors import NumericalError, ValidationError, check_int
-from .nystrom import ExtensionModel, _check_queries, _checked_eigenvalues, _query_blocks
+from .dataset import DataSet, frozen_array, frozen_field
+from .errors import NumericalError, ValidationError, check_array, check_int
+from .nystrom import ExtensionModel, _checked_eigenvalues, _query_blocks
 from .spectral import DiffusionEmbedding, _check_pair_index, _coords
 
 
@@ -32,13 +32,12 @@ class EigenbasisRegression:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", frozen_array(self.coefficients))
-        object.__setattr__(self, "cv_risk_curve", frozen_array(self.cv_risk_curve))
+        object.__setattr__(self, "intercept", float(check_array(self.intercept, (), "intercept")))
+        for name in ("coefficients", "cv_risk_curve"):
+            frozen_field(self, name, (None,))
         _check_pair_index(self.p, self.extension.decomposition, "number of coefficients p")
         check_int(self.folds, 2, self.extension.n, "folds")
         check_int(self.seed, 0, None, "seed")
-        if not (np.isfinite(self.intercept) and np.isfinite(self.coefficients).all()):
-            raise ValidationError("intercept and coefficients must be finite")
 
     @property
     def p(self) -> int:
@@ -166,7 +165,7 @@ def predict(model: EigenbasisRegression, new_points: np.ndarray) -> np.ndarray:
     """
     ext = model.extension
     v = model._folded
-    q = _check_queries(ext, new_points)
+    q = check_array(new_points, (None, ext.d), "query points")
     out = np.empty(q.shape[0])
     for rows, weights, sums in _query_blocks(ext, q):
         weights *= v

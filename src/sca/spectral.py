@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import frozen_array
+from .dataset import frozen_array, frozen_field
 from .errors import NumericalError, ValidationError, check_int
 from .markov import TransitionMatrix, stationary_distribution
 
@@ -53,14 +53,11 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray     # (n, r), column j evaluates psi_{j+1}
 
     def __post_init__(self):
-        for name in ("eigenvalues", "eigenvectors"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name)))
-        vals, vecs = self.eigenvalues, self.eigenvectors
-        if not (vals.ndim == 1 and vecs.ndim == 2 and 1 <= vals.size == vecs.shape[1] < self.n):
+        k = frozen_field(self, "eigenvalues", (None,)).size
+        frozen_field(self, "eigenvectors", (None, k))
+        if not 1 <= k < self.n:
             raise ValidationError(f"eigenvectors must be n x k for k >= 1 eigenvalues, n > k; "
-                                  f"got {vecs.shape} for eigenvalues {vals.shape}")
-        if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
-            raise ValidationError("eigenpairs contain non-finite entries")
+                                  f"got {self.eigenvectors.shape}")
 
     @property
     def n(self) -> int:

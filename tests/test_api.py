@@ -10,13 +10,13 @@ import pytest
 
 import sca
 from sca import cli, markov, nystrom, regression, spectral, synthetic
-from sca.dataset import Dissimilarity, pairwise_dissimilarity
+from sca.dataset import DataSet, Dissimilarity, pairwise_dissimilarity
 from sca.errors import ValidationError
-from sca.markov import build_transition, transition_from_points
+from sca.markov import build_transition, default_epsilon, transition_from_points
 from sca.nystrom import ExtensionModel, extend_eigenfunctions, extend_embedding
 from sca.prototypes import (ComponentLibrary, PrototypeSet, diffusion_kmeans, fit_mixture,
-                            grid_prototypes, quantization_benchmark)
-from sca.regression import EigenbasisRegression, fit, kfold_indices
+                            grid_prototypes, project_to_simplex, quantization_benchmark)
+from sca.regression import EigenbasisRegression, fit, kfold_indices, predict
 from sca.spectral import DiffusionEmbedding, SpectralDecomposition, decompose, embed
 from sca.synthetic import GeneratorSpec
 
@@ -94,23 +94,25 @@ def _prototypes(vectors, log_ages=None):
 # (case id, builder of the invalid object from a valid pipeline, message)
 INVALID_OBJECTS = [
     ("extension-decomposition-rows", _extension(rows=40),
-     r"decomposition's n = 40 rows, got \(30, 2\)"),
-    ("extension-points-1d", _extension(points=np.ravel), "n x d"),
+     r"^points must have shape \(40, any\), got \(30, 2\)"),
+    ("extension-points-1d", _extension(points=np.ravel),
+     r"^points must have shape \(30, any\), got \(60,\)"),
     ("extension-points-nan", _extension(points=lambda p: np.where(p > 1, np.nan, p)),
-     "points contain non-finite"),
+     "^points has non-finite entries"),
     ("extension-epsilon-negative", _extension(epsilon=-1.0),
      "epsilon must be a positive finite real, got -1.0"),
     ("extension-epsilon-inf", _extension(epsilon=np.inf), "epsilon"),
     ("extension-epsilon-nan", _extension(epsilon=np.nan), "epsilon"),
     ("decomposition-eigenvectors-columns",
      _decomposition(lambda d: d.eigenvalues, lambda d: d.eigenvectors[:, :4]),
-     r"got \(30, 4\) for eigenvalues \(5,\)"),
+     r"^eigenvectors must have shape \(any, 5\), got \(30, 4\)"),
     ("decomposition-no-pairs",
      _decomposition(lambda d: d.eigenvalues[:0], lambda d: d.eigenvectors[:, :0]), "k >= 1"),
     ("decomposition-as-many-pairs-as-points",
      _decomposition(lambda d: np.ones(30), lambda d: np.eye(30)), "n > k"),
     ("decomposition-eigenvalues-2d",
-     _decomposition(lambda d: d.eigenvalues[None], lambda d: d.eigenvectors), "n x k"),
+     _decomposition(lambda d: d.eigenvalues[None], lambda d: d.eigenvectors),
+     r"^eigenvalues must have shape \(any,\), got \(1, 5\)"),
     ("decomposition-eigenvalue-nan",
      _decomposition(lambda d: d.eigenvalues * np.nan, lambda d: d.eigenvectors), "non-finite"),
     ("decomposition-eigenvectors-inf",
@@ -119,8 +121,10 @@ INVALID_OBJECTS = [
      r"number of coefficients p \(the decomposition stores 5 nontrivial eigenpairs\) "
      r"must lie in \[1, 5\], got 9"),
     ("regression-no-coefficients", _regression(np.ones(0)), "got 0"),
-    ("regression-coefficient-nan", _regression(np.array([1.0, np.nan])), "must be finite"),
-    ("regression-intercept-inf", _regression(np.ones(2), intercept=np.inf), "must be finite"),
+    ("regression-coefficient-nan", _regression(np.array([1.0, np.nan])),
+     "^coefficients has non-finite entries"),
+    ("regression-intercept-inf", _regression(np.ones(2), intercept=np.inf),
+     "^intercept has non-finite entries"),
     ("prototypes-none", _prototypes(np.empty((0, 4))), "prototype set is empty"),
     ("prototypes-nan", _prototypes(np.full((2, 4), np.nan)), "non-finite"),
     ("prototypes-log-age-inf", _prototypes(np.ones((2, 4)), np.array([0.0, np.inf])),
@@ -139,12 +143,13 @@ def test_types_reject_invalid_fields_on_construction(build, message):
 
 @pytest.fixture(scope="module")
 def pipeline():
-    """A labeled 30-point pipeline and a 12-component library."""
+    """A labeled 30-point pipeline, a 12-component library and its 2 K-means prototypes."""
     data = gaussian_dataset(30, 2, 5, with_response=True)
     transition, dec, emb, ext = full_pipeline(data)
     lib = synthetic.generate(GeneratorSpec(kind="component-families", n=12, seed=1))
     return SimpleNamespace(data=data, transition=transition, dec=dec, emb=emb, ext=ext,
-                           lib=lib, dmat=pairwise_dissimilarity(data, Dissimilarity()))
+                           lib=lib, dmat=pairwise_dissimilarity(data, Dissimilarity()),
+                           protos=diffusion_kmeans(lib, 2))
 
 
 # None comes last: where it selects a default the sites take the rest
@@ -226,5 +231,132 @@ def test_scalar_arguments_of_the_wrong_type_are_refused(pipeline, what, call, va
     """A bool, float, None, str or complex where an integer or a real number
     belongs is a ValidationError that names the argument, never a numpy
     error or a silent 1."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(what)} "):
+        call(pipeline, value)
+
+
+def _first_set(a, value):
+    a.flat[0] = value
+    return a
+
+
+# each refused array made from a valid float64 array ``a``
+_NOT_ARRAYS = {
+    "text": lambda a: _first_set(a.astype(object), "a").tolist(),
+    "complex": lambda a: _first_set(a.astype(complex), 1j),
+    "bool": lambda a: a > 0,
+    "None": lambda a: None,
+    "ragged": lambda a: [a.tolist(), [a.tolist()]],
+    "ndim": lambda a: a[None],
+    "rows": lambda a: a[:-1],
+    "columns": lambda a: a[..., :-1],
+    "nan": lambda a: _first_set(a.copy(), np.nan),
+    "inf": lambda a: _first_set(a.copy(), np.inf),
+}
+# every site refuses these; a site whose length along an axis is fixed also
+# refuses a wrong length there ("rows" or "columns"); None is not refused
+# where it means the argument is not given
+_ANY_ARRAY = ("text", "complex", "bool", "None", "ragged", "ndim", "nan", "inf")
+_GIVEN_ARRAY = tuple(kind for kind in _ANY_ARRAY if kind != "None")
+
+# (site, argument name that starts the message, the valid array, call passing
+# v as that argument, the refused kinds)
+_ARRAY_SITES = [
+    ("dataset-points", "points", lambda f: f.data.points,
+     lambda f, v: DataSet(v, f.data.ids), _ANY_ARRAY),
+    ("dataset-response", "response", lambda f: f.data.response,
+     lambda f, v: DataSet(f.data.points, f.data.ids, v), _GIVEN_ARRAY + ("rows",)),
+    ("transition-points", "points", lambda f: f.data.points,
+     lambda f, v: transition_from_points(v), _ANY_ARRAY),
+    ("extension-points", "points", lambda f: f.data.points,
+     lambda f, v: ExtensionModel(v, f.dec, f.ext.epsilon, "sqeuclidean"),
+     _ANY_ARRAY + ("rows",)),
+    ("extend-queries", "query points", lambda f: f.data.points[:2],
+     lambda f, v: extend_eigenfunctions(f.ext, v, 3), _ANY_ARRAY + ("columns",)),
+    ("predict-queries", "query points", lambda f: f.data.points[:2],
+     lambda f, v: predict(_regression_with(f), v), _ANY_ARRAY + ("columns",)),
+    ("library-spectra", "spectra", lambda f: f.lib.spectra,
+     lambda f, v: ComponentLibrary(v, f.lib.ages, f.lib.metallicities), _ANY_ARRAY),
+    ("library-ages", "ages", lambda f: f.lib.ages,
+     lambda f, v: ComponentLibrary(f.lib.spectra, v, f.lib.metallicities),
+     _ANY_ARRAY + ("rows",)),
+    ("library-metallicities", "metallicities", lambda f: f.lib.metallicities,
+     lambda f, v: ComponentLibrary(f.lib.spectra, f.lib.ages, v), _ANY_ARRAY + ("rows",)),
+    ("normalize-spectra", "spectra", lambda f: f.lib.spectra,
+     lambda f, v: ComponentLibrary.normalize(v, f.lib.ages, f.lib.metallicities), _ANY_ARRAY),
+    ("normalize-ages", "ages", lambda f: f.lib.ages,
+     lambda f, v: ComponentLibrary.normalize(f.lib.spectra, v, f.lib.metallicities),
+     _ANY_ARRAY + ("rows",)),
+    ("normalize-metallicities", "metallicities", lambda f: f.lib.metallicities,
+     lambda f, v: ComponentLibrary.normalize(f.lib.spectra, f.lib.ages, v),
+     _ANY_ARRAY + ("rows",)),
+    ("prototypes", "prototypes", lambda f: f.protos.prototypes,
+     lambda f, v: dataclasses.replace(f.protos, prototypes=v), _ANY_ARRAY),
+    ("prototypes-log-ages", "log_ages", lambda f: f.protos.log_ages,
+     lambda f, v: dataclasses.replace(f.protos, log_ages=v), _ANY_ARRAY + ("rows",)),
+    ("prototypes-log-metallicities", "log_metallicities", lambda f: f.protos.log_metallicities,
+     lambda f, v: dataclasses.replace(f.protos, log_metallicities=v), _ANY_ARRAY + ("rows",)),
+    ("prototypes-centroids", "centroids_diffusion", lambda f: f.protos.centroids_diffusion,
+     lambda f, v: dataclasses.replace(f.protos, centroids_diffusion=v),
+     _GIVEN_ARRAY + ("rows",)),
+    ("prototypes-member-coords", "member_coords_diffusion",
+     lambda f: f.protos.member_coords_diffusion,
+     lambda f, v: dataclasses.replace(f.protos, member_coords_diffusion=v), _GIVEN_ARRAY),
+    ("mixture-observation", "observation", lambda f: f.lib.spectra[0],
+     lambda f, v: fit_mixture(f.protos, v), _ANY_ARRAY + ("rows",)),
+    ("decomposition-eigenvalues", "eigenvalues", lambda f: f.dec.eigenvalues,
+     lambda f, v: SpectralDecomposition(v, f.dec.eigenvectors), _ANY_ARRAY),
+    ("decomposition-eigenvectors", "eigenvectors", lambda f: f.dec.eigenvectors,
+     lambda f, v: SpectralDecomposition(f.dec.eigenvalues, v), _ANY_ARRAY + ("columns",)),
+    ("regression-coefficients", "coefficients", lambda f: np.ones(2),
+     lambda f, v: _regression_with(f, coefficients=v), _ANY_ARRAY),
+    ("regression-cv-risk-curve", "cv_risk_curve", lambda f: np.ones(5),
+     lambda f, v: _regression_with(f, cv_risk_curve=v), _ANY_ARRAY),
+    ("regression-intercept", "intercept", lambda f: 0.0,
+     lambda f, v: _regression_with(f, intercept=v), _ANY_ARRAY),
+    ("simplex-projection", "v", lambda f: np.array([0.2, 0.9]),
+     lambda f, v: project_to_simplex(v), _ANY_ARRAY),
+    # a dissimilarity matrix is checked for its dtype only: its own min and
+    # max find a NaN or inf, and ``default_epsilon`` takes no shape check
+    ("transition-dissimilarity", "dissimilarity matrix", lambda f: f.dmat,
+     lambda f, v: build_transition(v), _ANY_ARRAY + ("columns",)),
+    ("default-epsilon-dissimilarity", "dissimilarity matrix", lambda f: f.dmat,
+     lambda f, v: default_epsilon(v), ("text", "complex", "bool", "None", "ragged")),
+]
+INVALID_ARRAYS = [(f"{site}-{kind}", what, valid, call, kind)
+                  for site, what, valid, call, kinds in _ARRAY_SITES for kind in kinds]
+
+
+@pytest.mark.parametrize("what, valid, call, kind", [c[1:] for c in INVALID_ARRAYS],
+                         ids=[c[0] for c in INVALID_ARRAYS])
+def test_malformed_arrays_are_refused(pipeline, what, valid, call, kind):
+    """Text, complex or bool entries, None, a ragged list, a wrong shape and
+    a NaN or inf are a ValidationError that names the array, never a numpy
+    error, a ComplexWarning or a silent cast to float."""
+    bad = _NOT_ARRAYS[kind](np.array(valid(pipeline), dtype=np.float64))
+    with pytest.raises(ValidationError, match=f"^{re.escape(what)} "):
+        call(pipeline, bad)
+
+
+@pytest.mark.parametrize("what, call, value", [
+    ("ids", lambda f, v: DataSet(f.data.points, v), 5),
+    ("ids", lambda f, v: DataSet(f.data.points, v), None),
+    ("member_assignments",
+     lambda f, v: dataclasses.replace(f.protos, member_assignments=v), np.full(12, 0.5)),
+    ("member_assignments",
+     lambda f, v: dataclasses.replace(f.protos, member_assignments=v), np.full(12, True)),
+    ("member_assignments",
+     lambda f, v: dataclasses.replace(f.protos, member_assignments=v), np.full(12, 2)),
+    ("member_assignments",
+     lambda f, v: dataclasses.replace(f.protos, member_assignments=v), np.full(12, -1)),
+    ("member_assignments",
+     lambda f, v: dataclasses.replace(f.protos, member_assignments=v), np.zeros((2, 6), int)),
+    ("epsilon", lambda f, v: dataclasses.replace(f.protos, epsilon=v), -1.0),
+    ("epsilon", lambda f, v: dataclasses.replace(f.protos, epsilon=v), "1.0"),
+], ids=["ids-int", "ids-none", "labels-float", "labels-bool", "labels-k", "labels-negative",
+        "labels-2d", "epsilon-negative", "epsilon-str"])
+def test_prototype_labels_epsilon_and_ids_are_checked(pipeline, what, call, value):
+    """Labels of two clusters must be integers in [0, 2): a 0.5 is not
+    truncated to cluster 0.  A given epsilon passes the bandwidth check."""
     with pytest.raises(ValidationError, match=f"^{re.escape(what)} "):
         call(pipeline, value)

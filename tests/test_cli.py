@@ -931,6 +931,8 @@ MALFORMED = [
      lambda m, bad: _rewrite(m / "reg.npz", bad, intercept=np.float64(np.inf))),
     ("coefficients-nan", "predict",
      lambda m, bad: _rewrite(m / "reg.npz", bad, coefficients=lambda a: a * np.nan)),
+    ("cv-risk-curve-nan", "predict",
+     lambda m, bad: _rewrite(m / "reg.npz", bad, cv_risk_curve=lambda a: a * np.nan)),
     ("no-eigenpairs", "extend", lambda m, bad: _rewrite(
         m / "emb.npz", bad, eigenvalues=lambda a: a[:0], eigenvectors=lambda a: a[:, :0])),
     ("no-points", "predict", lambda m, bad: _rewrite(

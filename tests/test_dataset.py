@@ -110,7 +110,7 @@ def test_dataset_rejects_nonfinite_points():
 
 
 def test_dataset_rejects_nonfinite_response():
-    with pytest.raises(ValidationError, match="response contains non-finite"):
+    with pytest.raises(ValidationError, match="^response has non-finite entries"):
         DataSet(points=[[1.0], [2.0]], ids=("0", "1"), response=[1.0, np.inf])
 
 

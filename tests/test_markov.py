@@ -157,9 +157,9 @@ def test_overflowing_distances_of_finite_points_rejected(diss_kind):
     assert np.isfinite(points).all()
     with pytest.raises(ValidationError, match="dissimilarity matrix has non-finite entries"):
         transition_from_points(points, diss_kind)
-    # a NaN coordinate gives NaN distances, which the same check names
+    # a NaN coordinate is named by the points' own check, before any distance
     points[0, 0] = np.nan
-    with pytest.raises(ValidationError, match="dissimilarity matrix has non-finite entries"):
+    with pytest.raises(ValidationError, match="^points has non-finite entries"):
         transition_from_points(points, diss_kind)
 
 

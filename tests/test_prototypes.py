@@ -303,7 +303,7 @@ def test_grid_assignments_cover_all_clusters():
 def test_prototype_set_rejects_parameters_not_of_length_k(field):
     values = {"log_ages": np.zeros(3), "log_metallicities": np.zeros(3)}
     values[field] = np.zeros(2)
-    with pytest.raises(ValidationError, match=f"{field} must have length K=3"):
+    with pytest.raises(ValidationError, match=rf"^{field} must have shape \(3,\), got \(2,\)"):
         PrototypeSet(prototypes=np.ones((3, 4)), **values)
 
 
@@ -416,7 +416,7 @@ def test_fit_mixture_rejects_bad_inputs():
         fit_mixture(proto, vectors[0], noise_sd=0.0)
     with pytest.raises(ValidationError, match="non-finite"):
         fit_mixture(proto, np.full(10, np.nan))
-    with pytest.raises(ValidationError, match="length"):
+    with pytest.raises(ValidationError, match=r"^observation must have shape \(10,\)"):
         fit_mixture(proto, np.zeros(9))
 
 
