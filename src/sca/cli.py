@@ -25,7 +25,7 @@ import numpy as np
 
 from . import synthetic
 from .dataset import DISS_KINDS, load_dataset, parse_table, read_dissimilarity_table, read_table
-from .errors import NumericalError, ValidationError, check_int
+from .errors import NumericalError, ValidationError, check_int, check_real
 from .markov import _gaussian_chain, transition_from_points
 from .nystrom import ExtensionModel, build_extension, extend_embedding
 from .prototypes import (
@@ -134,17 +134,21 @@ def _derived_out(input_path, suffix: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _resolve_epsilon(eps_text: str):
-    """'auto' -> None (the chain is built at ``default_epsilon``), else a float."""
+    """'auto' -> None (the chain is built at ``default_epsilon``), else a positive finite float."""
     if eps_text == "auto":
         return None
     try:
-        return float(eps_text)
+        epsilon = float(eps_text)
     except ValueError:
         raise ValidationError(f"epsilon must be a positive real or 'auto', got {eps_text!r}")
+    return check_real(epsilon, True, "epsilon")
 
 
-def _embedding_pipeline(args, data, t: int):
+def _embedding_pipeline(args, t: int):
+    """``--input`` and its chain, spectrum and embedding, ``--epsilon`` checked first."""
     epsilon = _resolve_epsilon(args.epsilon)
+    table, id_column = _read_input(args)
+    data = load_dataset(table, response_column=args.response, id_column=id_column)
     if args.diss.startswith("table:"):
         # the table is read into a buffer this run owns, and W is built in
         # it, as transition_from_points builds W in the D it computes
@@ -154,7 +158,7 @@ def _embedding_pipeline(args, data, t: int):
         transition = transition_from_points(data.points, args.diss, epsilon)
     decomposition = decompose(transition, args.r)
     embedding = embed(decomposition, t, decomposition.eigenvalues.size)
-    return transition, decomposition, embedding
+    return id_column, data, transition, decomposition, embedding
 
 
 def _psi_header(r: int):
@@ -278,9 +282,7 @@ def _cmd_embed(args):
     if args.save_model and args.diss.startswith("table:"):
         raise ValidationError(f"--save-model needs a dissimilarity computable at new points; "
                               f"--diss {args.diss} has no values for unseen points")
-    table, id_column = _read_input(args)
-    data = load_dataset(table, response_column=args.response, id_column=id_column)
-    transition, decomposition, embedding = _embedding_pipeline(args, data, args.t)
+    id_column, data, transition, decomposition, embedding = _embedding_pipeline(args, args.t)
     r = embedding.r
     if args.save_model:
         extension = build_extension(data, transition, decomposition)
@@ -314,9 +316,7 @@ def _cmd_extend(args):
 
 
 def _cmd_regress(args):
-    table, id_column = _read_input(args)
-    data = load_dataset(table, response_column=args.response, id_column=id_column)
-    transition, decomposition, embedding = _embedding_pipeline(args, data, 1)
+    id_column, data, transition, decomposition, embedding = _embedding_pipeline(args, 1)
     extension = build_extension(data, transition, decomposition)
     model = fit(data, embedding, extension, folds=args.folds, seed=args.seed)
     out_model = args.out_model or _derived_out(args.input, ".model.npz")
@@ -350,9 +350,9 @@ def _cmd_predict(args):
 
 
 def _cmd_prototype(args):
+    epsilon = _resolve_epsilon(args.epsilon)
     lib = load_component_library(args.input, ref_index=args.ref_index)
-    proto = diffusion_kmeans(lib, args.k, t=args.t, r=args.r, seed=args.seed,
-                             epsilon=_resolve_epsilon(args.epsilon))
+    proto = diffusion_kmeans(lib, args.k, t=args.t, r=args.r, seed=args.seed, epsilon=epsilon)
     r = proto.centroids_diffusion.shape[1]
     prefix = args.out_prefix or str(Path(args.input).with_suffix(""))
     out_protos = f"{prefix}.prototypes.csv"

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ValidationError, check_array, real_array
+from .errors import ValidationError, check_array, square_matrix
 
 DISS_KINDS = ("sqeuclidean", "euclidean")
 
@@ -98,15 +98,12 @@ def _check_kind(kind: str) -> None:
 
 
 def validate_dissimilarity(values, what: str = "dissimilarity matrix") -> np.ndarray:
-    """``values`` as a float64 matrix that is square, finite, non-negative,
-    symmetric and zero on the diagonal; each fault names ``what``."""
-    dmat = real_array(values, what)
-    if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
-        raise ValidationError(f"{what} must be square")
+    """``values`` as a float64 matrix that is n x n with n >= 2, finite,
+    non-negative, symmetric and zero on the diagonal; each fault names ``what``."""
+    dmat = square_matrix(values, what)
     # NaN carries through both reductions, -inf shows in the least entry
-    # and +inf in the largest, with no n x n temporary; the initial 0.0
-    # keeps an empty matrix valid
-    least, largest = dmat.min(initial=0.0), dmat.max(initial=0.0)
+    # and +inf in the largest, with no n x n temporary
+    least, largest = dmat.min(), dmat.max()
     if not np.isfinite(least) or not np.isfinite(largest):
         raise ValidationError(f"{what} has non-finite entries")
     if least < 0:
@@ -166,12 +163,11 @@ def read_dissimilarity_table(path, n: int) -> np.ndarray:
         raise ValidationError(f"malformed dissimilarity table {path}: {exc}") from exc
     if dmat.size == 0:
         raise ValidationError(f"dissimilarity table {path} has no rows")
-    validate_dissimilarity(dmat, "dissimilarity table")
     if dmat.shape != (n, n):
         raise ValidationError(
             f"dissimilarity table {path} has shape {dmat.shape}, which does not match n={n}"
         )
-    return dmat
+    return validate_dissimilarity(dmat, "dissimilarity table")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,20 @@ def check_int(value, lo: int, hi, what: str) -> int:
     raise ValidationError(f"{what} must {bound}, got {value!r}")
 
 
+def check_real(value, positive: bool, what: str) -> float:
+    """``value`` as a Python float: a real number, numpy's included, not a bool, and
+    finite and > 0 (``positive``) or >= 0 as a float; else ValidationError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = np.inf
+        if (0 < real if positive else 0 <= real) and real < np.inf:
+            return real
+    bound = "a positive finite real" if positive else "finite and nonnegative"
+    raise ValidationError(f"{what} must be {bound}, got {value!r}")
+
+
 def check_array(values, shape: tuple, what: str) -> np.ndarray:
     """``real_array(values)`` if it has ``shape`` (None: any length) and only finite
     entries; else ValidationError.  Checked per query or observation, so a loop and
@@ -61,6 +75,11 @@ def real_array(values, what: str) -> np.ndarray:
     return arr
 
 
-def is_real(value) -> bool:
-    """True for a real number, numpy's included; False for a bool, str, None or complex."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def square_matrix(values, what: str) -> np.ndarray:
+    """``real_array(values)`` if its shape is n x n with n >= 2; else ValidationError."""
+    arr = real_array(values, what)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{what} must be square, got shape {arr.shape}")
+    if arr.shape[0] < 2:
+        raise ValidationError(f"need at least 2 observations, got {arr.shape[0]}")
+    return arr

@@ -5,8 +5,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import _check_kind, _point_dissimilarity, frozen_array, validate_dissimilarity
-from .errors import NumericalError, ValidationError, is_real, real_array
+from .dataset import _check_kind, _point_dissimilarity, frozen_array, frozen_field, \
+    validate_dissimilarity
+from .errors import NumericalError, ValidationError, check_real, square_matrix
 from .kernels import BLOCK_ENTRIES
 
 
@@ -19,6 +20,7 @@ class TransitionMatrix:
     symmetric they give the stationary distribution in closed form and
     the symmetric conjugate S^{-1/2} W S^{-1/2} that ``decompose``
     solves.  ``matrix`` derives A for the oracles that need it.
+    Construction checks W's shape (not its entries), s and the bandwidth.
     """
 
     kernel: np.ndarray
@@ -27,8 +29,10 @@ class TransitionMatrix:
     diss_kind: str
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", frozen_array(self.kernel))
-        object.__setattr__(self, "kernel_row_sums", frozen_array(self.kernel_row_sums))
+        object.__setattr__(self, "kernel", frozen_array(square_matrix(self.kernel, "kernel")))
+        if not (frozen_field(self, "kernel_row_sums", (self.n,)) > 0).all():
+            raise ValidationError("kernel_row_sums must be positive")
+        object.__setattr__(self, "epsilon", check_real(self.epsilon, True, "epsilon"))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -68,7 +72,7 @@ def transition_from_points(points: np.ndarray, diss_kind: str = "sqeuclidean",
     diagonal by ``kernels``' construction, so only its finiteness is
     checked: finite coordinates far enough apart overflow.
     """
-    dmat = _point_dissimilarity(points, diss_kind)
+    dmat = square_matrix(_point_dissimilarity(points, diss_kind), "dissimilarity matrix")
     if not np.isfinite(dmat.max()):  # D >= 0: +inf or NaN makes the max non-finite
         raise ValidationError("dissimilarity matrix has non-finite entries")
     return _gaussian_chain(dmat, epsilon, diss_kind, out=dmat)
@@ -77,9 +81,7 @@ def transition_from_points(points: np.ndarray, diss_kind: str = "sqeuclidean",
 def _gaussian_chain(dmat: np.ndarray, epsilon: Optional[float], diss_kind: str,
                     out: Optional[np.ndarray] = None) -> TransitionMatrix:
     """The chain of a validated D; W is written to ``out``, or to a new buffer."""
-    if dmat.shape[0] < 2:
-        raise ValidationError("need at least 2 observations")
-    epsilon = default_epsilon(dmat) if epsilon is None else _check_epsilon(epsilon)
+    epsilon = default_epsilon(dmat) if epsilon is None else check_real(epsilon, True, "epsilon")
     # one n x n buffer, filled with exp(-D/eps) a row block at a time, each
     # block checked and summed while it is in cache, then frozen as it is
     weights = np.empty(dmat.shape) if out is None else out
@@ -95,14 +97,7 @@ def _gaussian_chain(dmat: np.ndarray, epsilon: Optional[float], diss_kind: str,
         block.sum(axis=1, out=sums[lo:lo + step])
     weights.setflags(write=False)
     return TransitionMatrix(kernel=weights, kernel_row_sums=sums,
-                            epsilon=float(epsilon), diss_kind=diss_kind)
-
-
-def _check_epsilon(epsilon):
-    """The one check of a kernel bandwidth, in training and in a stored model."""
-    if is_real(epsilon) and 0 < epsilon < np.inf:
-        return epsilon
-    raise ValidationError(f"epsilon must be a positive finite real, got {epsilon!r}")
+                            epsilon=epsilon, diss_kind=diss_kind)
 
 
 def _gaussian_kernel(dmat: np.ndarray, epsilon: float,
@@ -123,11 +118,8 @@ def default_epsilon(dmat: np.ndarray) -> float:
     called because its NaN check imports ``numpy.ma`` (12 ms and 0.6 MB
     on first use).
     """
-    dmat = real_array(dmat, "dissimilarity matrix")
-    n = dmat.shape[0]
-    if n < 2:
-        raise ValidationError("need at least 2 observations")
-    upper = np.concatenate([dmat[i, i + 1:] for i in range(n - 1)])
+    dmat = square_matrix(dmat, "dissimilarity matrix")
+    upper = np.concatenate([dmat[i, i + 1:] for i in range(dmat.shape[0] - 1)])
     low, high = (upper.size - 1) // 2, upper.size // 2
     # one partition point: for an even count the upper middle rank is the
     # least entry above ``low``.  A NaN sorts after every number, so any

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DISS_KINDS, DataSet, _point_dissimilarity, frozen_field
-from .errors import NumericalError, ValidationError, check_array, check_int
-from .markov import TransitionMatrix, _check_epsilon, _gaussian_kernel
+from .errors import NumericalError, ValidationError, check_array, check_int, check_real
+from .markov import TransitionMatrix, _gaussian_kernel
 from .spectral import SpectralDecomposition, _check_pair_index
 
 EIGENVALUE_FLOOR = 1e-12
@@ -39,7 +39,7 @@ class ExtensionModel:
             raise ValidationError("out-of-sample extension needs a computable dissimilarity; "
                                   f"kind {self.diss_kind!r} has no values for unseen points")
         frozen_field(self, "points", (self.decomposition.n, None))
-        _check_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", check_real(self.epsilon, True, "epsilon"))
 
     @property
     def n(self) -> int:

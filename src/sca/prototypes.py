@@ -16,8 +16,8 @@ import numpy as np
 
 from . import kernels
 from .dataset import frozen_array, frozen_field, parse_table
-from .errors import NumericalError, ValidationError, check_array, check_int, is_real
-from .markov import _check_epsilon, transition_from_points
+from .errors import NumericalError, ValidationError, check_array, check_int, check_real
+from .markov import transition_from_points
 from .spectral import decompose, embed
 
 KKT_TOL = 1e-8
@@ -101,14 +101,17 @@ class PrototypeSet:
             if getattr(self, name) is not None:
                 frozen_field(self, name, shape)
         if self.member_assignments is not None:
-            labels = np.asarray(self.member_assignments)
+            try:
+                labels = np.asarray(self.member_assignments)
+            except ValueError:   # a ragged list
+                labels = np.asarray(None)
             if labels.dtype.kind not in "iu" or labels.ndim != 1 or (
                     labels.size and not 0 <= labels.min() <= labels.max() < self.k):
                 raise ValidationError(
                     f"member_assignments must be a 1-D array of integer labels in [0, {self.k})")
             object.__setattr__(self, "member_assignments", frozen_array(labels, dtype=np.int64))
         if self.epsilon is not None:
-            _check_epsilon(self.epsilon)
+            object.__setattr__(self, "epsilon", check_real(self.epsilon, True, "epsilon"))
         object.__setattr__(self, "wcss_history", tuple(float(w) for w in self.wcss_history))
 
     @property
@@ -312,8 +315,7 @@ def fit_mixture(proto: PrototypeSet, y: np.ndarray, noise_sd: float = 1.0) -> Mi
     reaches from the best vertex.  The derived mean log age and log
     metallicity then depend on that choice.
     """
-    if not (is_real(noise_sd) and 0 < noise_sd < np.inf):
-        raise ValidationError(f"noise_sd must be a positive finite real, got {noise_sd!r}")
+    check_real(noise_sd, True, "noise_sd")
     p = proto.prototypes
     y = check_array(y, (p.shape[1],), "observation")
     k = p.shape[0]
@@ -420,8 +422,7 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
     randomness is keyed by (seed, trial index).
     """
     check_int(n_trials, 1, None, "n_trials")
-    if not (is_real(noise_sd) and 0 <= noise_sd < np.inf):
-        raise ValidationError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
+    noise_sd = check_real(noise_sd, False, "noise_sd")
     protos = {
         "diffusion": diffusion_kmeans(lib, k, t=t, r=r, seed=seed),
         "grid": grid_prototypes(lib, k),
@@ -456,7 +457,7 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
         )
 
     return QuantizationReport(
-        k=k, n_trials=n_trials, noise_sd=float(noise_sd), seed=seed,
+        k=k, n_trials=n_trials, noise_sd=noise_sd, seed=seed,
         diffusion=summarize("diffusion"), grid=summarize("grid"),
         diffusion_set=protos["diffusion"],
     )

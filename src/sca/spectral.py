@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import frozen_array, frozen_field
+from .dataset import frozen_field
 from .errors import NumericalError, ValidationError, check_int
 from .markov import TransitionMatrix, stationary_distribution
 
@@ -67,13 +67,13 @@ class SpectralDecomposition:
 @dataclass(frozen=True)
 class DiffusionEmbedding:
     """r-dimensional diffusion coordinates at time t: column j is lambda_j^t psi_j.
-    Construction checks that t is an integer >= 1."""
+    Construction checks that coords is a finite matrix and t an integer >= 1."""
 
     coords: np.ndarray
     t: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", frozen_array(self.coords))
+        frozen_field(self, "coords", (None, None))
         check_int(self.t, 1, None, "diffusion time t")
 
     @property

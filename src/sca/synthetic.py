@@ -12,7 +12,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .dataset import DataSet
-from .errors import ValidationError, check_int, is_real
+from .errors import ValidationError, check_int, check_real
 from .prototypes import ComponentLibrary
 
 KINDS = ("swiss-roll", "noisy-circle", "line-chain",
@@ -41,9 +41,8 @@ class GeneratorSpec:
             raise ValidationError(f"unknown generator kind {self.kind!r}; expected {KINDS}")
         # a point's index is one 32-bit word of its stream's seed
         check_int(self.n, 2, 2**32, "n")
-        for name, value in (("noise_sd", self.noise_sd), ("separation", self.separation)):
-            if not (is_real(value) and 0 <= value < np.inf):
-                raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+        for name in ("noise_sd", "separation"):
+            object.__setattr__(self, name, check_real(getattr(self, name), False, name))
         check_int(self.seed, 0, None, "seed")
         if self.kind == "component-families":
             check_int(self.n_families, 1, self.n, "n_families")

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import sca
 from sca import cli, markov, nystrom, regression, spectral, synthetic
 from sca.dataset import DataSet, Dissimilarity, pairwise_dissimilarity
-from sca.errors import ValidationError
+from sca.errors import ValidationError, check_real
 from sca.markov import build_transition, default_epsilon, transition_from_points
 from sca.nystrom import ExtensionModel, extend_eigenfunctions, extend_embedding
 from sca.prototypes import (ComponentLibrary, PrototypeSet, diffusion_kmeans, fit_mixture,
@@ -155,6 +156,9 @@ def pipeline():
 # None comes last: where it selects a default the sites take the rest
 _NOT_INTEGERS = (1.5, True, np.float64(1.0), None)
 _NOT_REALS = ("1.0", 1 + 0j, True, None)
+# refused by every real site; a bound of > 0 also refuses 0.0
+_NOT_FINITE_OR_NEGATIVE = (np.nan, np.inf, -np.inf, -1.0)
+_NOT_POSITIVE = _NOT_FINITE_OR_NEGATIVE + (0.0,)
 
 
 def _regression_with(f, **fields):
@@ -196,10 +200,11 @@ _ARGUMENT_SITES = [
     ("benchmark-trials", "n_trials",
      lambda f, v: quantization_benchmark(f.lib, 2, v, 0.01, 0), _NOT_INTEGERS),
     ("benchmark-noise", "noise_sd",
-     lambda f, v: quantization_benchmark(f.lib, 2, 1, v, 0), _NOT_REALS),
+     lambda f, v: quantization_benchmark(f.lib, 2, 1, v, 0),
+     _NOT_REALS + _NOT_FINITE_OR_NEGATIVE),
     ("mixture-noise", "noise_sd",
      lambda f, v: fit_mixture(grid_prototypes(f.lib, 2), f.lib.spectra[0], noise_sd=v),
-     _NOT_REALS),
+     _NOT_REALS + _NOT_POSITIVE),
     ("spec-n", "n", lambda f, v: GeneratorSpec(kind="swiss-roll", n=v), _NOT_INTEGERS),
     ("spec-seed", "seed",
      lambda f, v: GeneratorSpec(kind="swiss-roll", n=30, seed=v), _NOT_INTEGERS),
@@ -210,16 +215,25 @@ _ARGUMENT_SITES = [
      lambda f, v: GeneratorSpec(kind="component-families", n=30, n_bins=v),
      _NOT_INTEGERS + (8.5,)),
     ("spec-noise", "noise_sd",
-     lambda f, v: GeneratorSpec(kind="swiss-roll", n=30, noise_sd=v), _NOT_REALS),
+     lambda f, v: GeneratorSpec(kind="swiss-roll", n=30, noise_sd=v),
+     _NOT_REALS + _NOT_FINITE_OR_NEGATIVE),
     ("spec-separation", "separation",
      lambda f, v: GeneratorSpec(kind="degenerate-components", n=30, separation=v),
-     _NOT_REALS),
+     _NOT_REALS + _NOT_FINITE_OR_NEGATIVE),
     ("transition-epsilon", "epsilon",
-     lambda f, v: build_transition(f.dmat, v), _NOT_REALS[:-1]),
+     lambda f, v: build_transition(f.dmat, v), _NOT_REALS[:-1] + _NOT_POSITIVE),
     ("points-epsilon", "epsilon",
-     lambda f, v: transition_from_points(f.data.points, epsilon=v), _NOT_REALS[:-1]),
+     lambda f, v: transition_from_points(f.data.points, epsilon=v),
+     _NOT_REALS[:-1] + _NOT_POSITIVE),
+    ("kmeans-epsilon", "epsilon",
+     lambda f, v: diffusion_kmeans(f.lib, 2, epsilon=v), _NOT_REALS[:-1] + _NOT_POSITIVE),
+    ("transition-matrix-epsilon", "epsilon",
+     lambda f, v: dataclasses.replace(f.transition, epsilon=v), _NOT_REALS + _NOT_POSITIVE),
     ("extension-epsilon", "epsilon",
-     lambda f, v: ExtensionModel(f.data.points, f.dec, v, "sqeuclidean"), _NOT_REALS),
+     lambda f, v: ExtensionModel(f.data.points, f.dec, v, "sqeuclidean"),
+     _NOT_REALS + _NOT_POSITIVE),
+    ("prototypes-epsilon", "epsilon",
+     lambda f, v: dataclasses.replace(f.protos, epsilon=v), _NOT_REALS[:-1] + _NOT_POSITIVE),
 ]
 INVALID_ARGUMENTS = [(f"{site}={value!r}", what, call, value)
                      for site, what, call, values in _ARGUMENT_SITES for value in values]
@@ -229,10 +243,38 @@ INVALID_ARGUMENTS = [(f"{site}={value!r}", what, call, value)
                          ids=[c[0] for c in INVALID_ARGUMENTS])
 def test_scalar_arguments_of_the_wrong_type_are_refused(pipeline, what, call, value):
     """A bool, float, None, str or complex where an integer or a real number
-    belongs is a ValidationError that names the argument, never a numpy
-    error or a silent 1."""
+    belongs, or a real that is NaN, infinite or below its bound, is a
+    ValidationError that names the argument, never a numpy error or a silent 1."""
     with pytest.raises(ValidationError, match=f"^{re.escape(what)} "):
         call(pipeline, value)
+
+
+@pytest.mark.parametrize("value, positive", [(10 ** 400, True), (Fraction(-(10 ** 400)), False),
+                                             (Fraction(1, 10 ** 400), True)])
+def test_a_real_is_checked_as_the_float_it_becomes(value, positive):
+    """A real past the float range counts as inf, and a positive one that
+    rounds to 0.0 is not positive: the float is what the caller uses."""
+    with pytest.raises(ValidationError, match="^x must be "):
+        check_real(value, positive, "x")
+
+
+@pytest.mark.parametrize("value", [1, np.float32(0.5), np.int8(3), Fraction(1, 4), 0.0])
+def test_check_real_returns_a_python_float(value):
+    out = check_real(value, False, "x")
+    assert type(out) is float and out == value
+
+
+def test_transition_matrix_row_sums_must_be_positive(pipeline):
+    sums = np.array(pipeline.transition.kernel_row_sums)
+    sums[3] = 0.0
+    with pytest.raises(ValidationError, match="^kernel_row_sums must be positive"):
+        dataclasses.replace(pipeline.transition, kernel_row_sums=sums)
+
+
+def test_transition_matrix_kind_is_a_label(pipeline):
+    # the CLI builds the chain of a dissimilarity table under the kind "table"
+    chain = dataclasses.replace(pipeline.transition, diss_kind="table")
+    assert chain.kernel is pipeline.transition.kernel
 
 
 def _first_set(a, value):
@@ -248,6 +290,7 @@ _NOT_ARRAYS = {
     "None": lambda a: None,
     "ragged": lambda a: [a.tolist(), [a.tolist()]],
     "ndim": lambda a: a[None],
+    "flat": lambda a: a.ravel(),
     "rows": lambda a: a[:-1],
     "columns": lambda a: a[..., :-1],
     "nan": lambda a: _first_set(a.copy(), np.nan),
@@ -258,6 +301,8 @@ _NOT_ARRAYS = {
 # where it means the argument is not given
 _ANY_ARRAY = ("text", "complex", "bool", "None", "ragged", "ndim", "nan", "inf")
 _GIVEN_ARRAY = tuple(kind for kind in _ANY_ARRAY if kind != "None")
+# a square matrix refuses every wrong shape, but is not read for NaN or inf
+_SQUARE = ("text", "complex", "bool", "None", "ragged", "ndim", "flat", "rows", "columns")
 
 # (site, argument name that starts the message, the valid array, call passing
 # v as that argument, the refused kinds)
@@ -316,12 +361,20 @@ _ARRAY_SITES = [
      lambda f, v: _regression_with(f, intercept=v), _ANY_ARRAY),
     ("simplex-projection", "v", lambda f: np.array([0.2, 0.9]),
      lambda f, v: project_to_simplex(v), _ANY_ARRAY),
-    # a dissimilarity matrix is checked for its dtype only: its own min and
-    # max find a NaN or inf, and ``default_epsilon`` takes no shape check
+    ("embedding-coords", "coords", lambda f: f.emb.coords,
+     lambda f, v: DiffusionEmbedding(v, 1), _ANY_ARRAY + ("flat",)),
+    ("transition-row-sums", "kernel_row_sums", lambda f: f.transition.kernel_row_sums,
+     lambda f, v: dataclasses.replace(f.transition, kernel_row_sums=v), _ANY_ARRAY + ("rows",)),
+    # a square matrix's dtype and shape are checked with no pass over its
+    # entries: a kernel's NaN or inf is not looked for, ``default_epsilon``
+    # gives NaN for a NaN, and the dissimilarity checks of ``build_transition``
+    # find a NaN or inf in their own min and max
+    ("transition-kernel", "kernel", lambda f: f.transition.kernel,
+     lambda f, v: dataclasses.replace(f.transition, kernel=v), _SQUARE),
     ("transition-dissimilarity", "dissimilarity matrix", lambda f: f.dmat,
-     lambda f, v: build_transition(v), _ANY_ARRAY + ("columns",)),
+     lambda f, v: build_transition(v), _SQUARE + ("nan", "inf")),
     ("default-epsilon-dissimilarity", "dissimilarity matrix", lambda f: f.dmat,
-     lambda f, v: default_epsilon(v), ("text", "complex", "bool", "None", "ragged")),
+     lambda f, v: default_epsilon(v), _SQUARE),
 ]
 INVALID_ARRAYS = [(f"{site}-{kind}", what, valid, call, kind)
                   for site, what, valid, call, kinds in _ARRAY_SITES for kind in kinds]
@@ -351,10 +404,12 @@ def test_malformed_arrays_are_refused(pipeline, what, valid, call, kind):
      lambda f, v: dataclasses.replace(f.protos, member_assignments=v), np.full(12, -1)),
     ("member_assignments",
      lambda f, v: dataclasses.replace(f.protos, member_assignments=v), np.zeros((2, 6), int)),
+    ("member_assignments",
+     lambda f, v: dataclasses.replace(f.protos, member_assignments=v), [[0], [0, 1]]),
     ("epsilon", lambda f, v: dataclasses.replace(f.protos, epsilon=v), -1.0),
     ("epsilon", lambda f, v: dataclasses.replace(f.protos, epsilon=v), "1.0"),
 ], ids=["ids-int", "ids-none", "labels-float", "labels-bool", "labels-k", "labels-negative",
-        "labels-2d", "epsilon-negative", "epsilon-str"])
+        "labels-2d", "labels-ragged", "epsilon-negative", "epsilon-str"])
 def test_prototype_labels_epsilon_and_ids_are_checked(pipeline, what, call, value):
     """Labels of two clusters must be integers in [0, 2): a 0.5 is not
     truncated to cluster 0.  A given epsilon passes the bandwidth check."""

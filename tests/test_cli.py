@@ -400,6 +400,21 @@ def test_negative_seed_or_infinite_epsilon_exits_1(tmp_path, capsys, argv, messa
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "--epsilon", "0"],
+    ["embed", "--epsilon", "1e400"],
+    ["regress", "--response", "response", "--seed", "1", "--epsilon", "nan"],
+    ["prototype", "--k", "2", "--seed", "1", "--epsilon", "-1"],
+], ids=["embed-zero", "embed-overflow", "regress-nan", "prototype-negative"])
+def test_bad_epsilon_exits_1_before_the_input_is_read(tmp_path, capsys, argv):
+    # the input does not exist: reading it first would report that instead
+    missing = str(tmp_path / "missing.csv")
+    assert main(argv[:1] + ["--input", missing] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: epsilon must be a positive finite real, got {float(argv[-1])}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_removed_flags_are_unknown(tmp_path, capsys):
     data = _gen(tmp_path)
     regress = ["regress", "--input", str(data), "--response", "response", "--seed", "1"]

@@ -1,10 +1,12 @@
 """Transition-matrix construction and the stationary distribution."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sca.dataset import Dissimilarity, pairwise_dissimilarity
 from sca.errors import NumericalError, ValidationError
 from sca.kernels import BLOCK_ENTRIES
 from sca.markov import (
@@ -119,6 +121,23 @@ def test_misspelt_diss_kind_rejected():
 def test_one_observation_rejected(rule):
     with pytest.raises(ValidationError, match="need at least 2 observations"):
         rule(np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_points_rejected(n):
+    with pytest.raises(ValidationError, match=f"need at least 2 observations, got {n}"):
+        transition_from_points(np.ones((n, 2)))
+
+
+def test_a_fraction_bandwidth_builds_the_chain_of_its_float():
+    data = gaussian_dataset(40, 3, 2)
+    half = transition_from_points(data.points, epsilon=0.5)
+    for chain in (transition_from_points(data.points, epsilon=Fraction(1, 2)),
+                  build_transition(pairwise_dissimilarity(data, Dissimilarity()),
+                                   Fraction(1, 2))):
+        assert type(chain.epsilon) is float and chain.epsilon == 0.5
+        assert chain.kernel.tobytes() == half.kernel.tobytes()
+        assert chain.kernel_row_sums.tobytes() == half.kernel_row_sums.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 60])
