@@ -104,8 +104,10 @@ def _gaussian_kernel(dmat: np.ndarray, epsilon: float,
                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """exp(-D/eps) into ``out`` (which may be D) or a new buffer: the one
     kernel step of training and of queries, so a query at a training
-    point gets that point's kernel row bit for bit."""
-    weights = np.divide(dmat, -epsilon, out=out)
+    point gets that point's kernel row bit for bit.  D/eps may overflow to
+    -inf for a subnormal eps; exp then gives 0, which callers check."""
+    with np.errstate(over="ignore"):
+        weights = np.divide(dmat, -epsilon, out=out)
     return np.exp(weights, out=weights)
 
 

@@ -433,7 +433,11 @@ def quantization_benchmark(lib: ComponentLibrary, k: int, n_trials: int,
     for trial in range(n_trials):
         rng = np.random.default_rng([seed, trial])
         weights = rng.dirichlet(np.ones(lib.n_components))
-        observation = weights @ lib.spectra + noise_sd * rng.normal(size=lib.n_bins)
+        with np.errstate(over="ignore"):
+            observation = weights @ lib.spectra + noise_sd * rng.normal(size=lib.n_bins)
+            if not np.isfinite(observation @ observation):
+                raise ValidationError(f"noise_sd={noise_sd!r} is too large: the squared "
+                                      "norm of a noisy observation overflows")
         true_la = float(weights @ log_age)
         true_lz = float(weights @ log_met)
         for name, proto in protos.items():

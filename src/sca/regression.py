@@ -63,7 +63,8 @@ def kfold_indices(n: int, folds: int, seed: int):
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
-# Largest cond_2 of a design scored through X^T X (error about eps cond^2).
+# Largest cond_2 accepted from each Cholesky pass of a fold's factor: the
+# factor of a Gram matrix carries an error of about eps cond^2.
 _GRAM_COND_MAX = 10.0
 
 
@@ -92,36 +93,34 @@ def _fold_squared_errors(design, y, held_out, gram, moment) -> np.ndarray:
 
     One lower-triangular L with training X = Q L^T serves every p: the fit
     on columns 0..p predicts the p-th partial sum of (held_x L^{-T}) * c,
-    c = L^{-1} X^T y = Q^T y.  L is the Cholesky factor of X^T X less the
-    held-out rows' share (error about eps cond(X)^2) if X has at least as
-    many rows as columns and cond_2(L) <= ``_GRAM_COND_MAX``, else R^T of a
-    thin QR of the training rows.  From the first numerically zero |L_jj| on
-    (and for p + 1 beyond the training rows) each p takes the minimum-norm
-    ``lstsq`` fit.
+    c = Q^T y.  L1 is the Cholesky factor of X^T X less the held-out rows'
+    share, and c = L1^{-1} X^T y, if cond_2(L1) <= ``_GRAM_COND_MAX``.
+    Else a second Cholesky QR pass on Q1 = X L1^{-T} gives L = L1 L2,
+    L2 = chol(Q1^T Q1), and c = L2^{-1} Q1^T y (L^{-1} X^T y would keep
+    the normal equations' eps cond^2), if cond_2(L2) meets the same bound.
+    A fold with fewer training rows than columns, or whose factor fails,
+    takes the minimum-norm ``lstsq`` fit for every p.
     """
     held_x, held_y = design[held_out], y[held_out]
     m, k = design.shape[0] - held_out.size, design.shape[1]
     try:
         chol = np.linalg.cholesky(gram - held_x.T @ held_x)
+        cond, inv = np.linalg.cond(chol), np.linalg.inv(chol)
+        if cond > _GRAM_COND_MAX:
+            q1 = np.delete(design, held_out, axis=0) @ inv.T
+            second = np.linalg.cholesky(q1.T @ q1)
+            cond, inv2 = np.linalg.cond(second), np.linalg.inv(second)
+            inv, c = inv2 @ inv, inv2 @ (q1.T @ np.delete(y, held_out))
+        else:
+            c = inv @ (moment - held_x.T @ held_y)
     except np.linalg.LinAlgError:
-        chol = None
-    on_gram = chol is not None and m >= k and np.linalg.cond(chol) <= _GRAM_COND_MAX
-    if not on_gram:
+        cond = np.inf
+    if m < k or cond > _GRAM_COND_MAX:
         train_x, train_y = np.delete(design, held_out, axis=0), np.delete(y, held_out)
-        q, rr = np.linalg.qr(train_x)
-        chol, c = rr.T, q.T @ train_y
-    pivots = np.abs(np.diag(chol))
-    zero = np.flatnonzero(pivots <= max(m, k) * np.finfo(float).eps * pivots.max())
-    solved = int(zero[0]) if zero.size else pivots.size
-    inv = np.linalg.inv(chol[:solved, :solved])
-    c = inv @ (moment - held_x.T @ held_y) if on_gram else c[:solved]
-    preds = np.cumsum((held_x[:, :solved] @ inv.T) * c, axis=1)
-    errors = np.empty(k - 1)
-    errors[:solved - 1] = np.sum((preds[:, 1:] - held_y[:, None]) ** 2, axis=0)
-    for p in range(solved, k):
-        beta = np.linalg.lstsq(train_x[:, :p + 1], train_y, rcond=None)[0]
-        errors[p - 1] = np.sum((held_x[:, :p + 1] @ beta - held_y) ** 2)
-    return errors
+        fits = [np.linalg.lstsq(train_x[:, :p + 1], train_y, rcond=None)[0] for p in range(1, k)]
+        return np.array([np.sum((held_x[:, :b.size] @ b - held_y) ** 2) for b in fits])
+    preds = np.cumsum((held_x @ inv.T) * c, axis=1)
+    return np.sum((preds[:, 1:] - held_y[:, None]) ** 2, axis=0)
 
 
 def _refit(basis: np.ndarray, y: np.ndarray, p: int):

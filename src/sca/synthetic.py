@@ -133,6 +133,15 @@ def _point_rngs(seed: int, n: int):
             yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
+def _finite(values: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
+    """``values``, once checked finite: a noise_sd near the float range overflows
+    them (separation >= 0 adds at most separation to curves near 1, and cannot)."""
+    if not np.isfinite(values).all():
+        raise ValidationError(f"noise_sd={spec.noise_sd!r} is too large: "
+                              f"the {spec.kind} values overflow")
+    return values
+
+
 def _swiss_roll(spec: GeneratorSpec) -> DataSet:
     points = np.empty((spec.n, 3))
     response = np.empty(spec.n)
@@ -150,7 +159,7 @@ def _swiss_roll(spec: GeneratorSpec) -> DataSet:
         )
         # arc length of the spiral rho = theta from 0 to theta
         response[i] = 0.5 * (theta * math.hypot(1.0, theta) + math.asinh(theta))
-    return DataSet(points=points, ids=tuple(str(i) for i in range(spec.n)),
+    return DataSet(points=_finite(points, spec), ids=tuple(str(i) for i in range(spec.n)),
                    response=response)
 
 
@@ -163,7 +172,7 @@ def _noisy_circle(spec: GeneratorSpec) -> DataSet:
         points[i] = (math.cos(angle), math.sin(angle))
         points[i] += spec.noise_sd * noise
         response[i] = angle
-    return DataSet(points=points, ids=tuple(str(i) for i in range(spec.n)),
+    return DataSet(points=_finite(points, spec), ids=tuple(str(i) for i in range(spec.n)),
                    response=response)
 
 
@@ -175,7 +184,7 @@ def _line_chain(spec: GeneratorSpec) -> DataSet:
         position = LINE_CHAIN_LENGTH * i / (spec.n - 1)
         points[i, 0] = position + spec.noise_sd * noise[0]
         response[i] = position
-    return DataSet(points=points, ids=tuple(str(i) for i in range(spec.n)),
+    return DataSet(points=_finite(points, spec), ids=tuple(str(i) for i in range(spec.n)),
                    response=response)
 
 
@@ -208,7 +217,7 @@ def _component_families(spec: GeneratorSpec) -> ComponentLibrary:
             spectra[i] = _smooth_curve(grid, slope, depth)
             spectra[i] += spec.noise_sd * rng.normal(size=spec.n_bins)
     return ComponentLibrary.normalize(
-        spectra, np.exp(log_age), np.exp(log_met), ref_index=0
+        _finite(spectra, spec), np.exp(log_age), np.exp(log_met), ref_index=0
     )
 
 
@@ -244,7 +253,7 @@ def _degenerate_components(spec: GeneratorSpec) -> ComponentLibrary:
         spectra[i] = _smooth_curve(grid, slope, depth) + offset * bump
         spectra[i] += spec.noise_sd * rng.normal(size=spec.n_bins)
     return ComponentLibrary.normalize(
-        spectra, np.exp(log_age), np.exp(log_met), ref_index=0
+        _finite(spectra, spec), np.exp(log_age), np.exp(log_met), ref_index=0
     )
 
 
@@ -258,5 +267,10 @@ _GENERATORS = {
 
 
 def generate(spec: GeneratorSpec):
-    """Produce the DataSet or ComponentLibrary described by ``spec``."""
-    return _GENERATORS[spec.kind](spec)
+    """Produce the DataSet or ComponentLibrary described by ``spec``.
+
+    Overflow is not warned about but checked: values that a huge noise_sd
+    made infinite raise a ValidationError naming it.
+    """
+    with np.errstate(over="ignore"):
+        return _GENERATORS[spec.kind](spec)

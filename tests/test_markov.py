@@ -77,6 +77,14 @@ def test_entry_underflow_raises_with_row():
         build_transition(dmat, epsilon=1e-3)
 
 
+def test_subnormal_epsilon_underflows_without_a_warning():
+    # D / 1e-320 overflows to -inf, whose exp underflows: the kernel check
+    # names the case, and no overflow warning comes first
+    dmat = _dmat_from_points([[0.0], [1.0], [2.0]])
+    with pytest.raises(NumericalError, match="epsilon=1e-320 is far too small"):
+        build_transition(dmat, epsilon=1e-320)
+
+
 def _symmetric_dissimilarities(n, seed):
     upper = np.triu(np.random.default_rng(seed).uniform(0.5, 1.5, size=(n, n)), 1)
     return upper + upper.T

@@ -1,5 +1,6 @@
 """Out-of-sample extension: training-set consistency, symmetry, locality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -134,6 +135,14 @@ def test_far_query_underflow_raises():
     # squared distance ~1e8 against a bandwidth of a few: every weight underflows
     with pytest.raises(NumericalError, match="query point 0"):
         extend_eigenfunctions(ext, data.points.max(axis=0).reshape(1, -1) + 1e4, 1)
+
+
+def test_query_at_subnormal_epsilon_underflows_without_a_warning():
+    data = gaussian_dataset(10, 2, 9)
+    _, _, _, ext = full_pipeline(data)
+    tiny = dataclasses.replace(ext, epsilon=1e-320)
+    with pytest.raises(NumericalError, match="query point 0"):
+        extend_eigenfunctions(tiny, data.points[:1] + 0.5, 1)
 
 
 @pytest.mark.filterwarnings("error")  # the overflow is reported as an error, not a warning

@@ -530,6 +530,13 @@ def test_benchmark_no_quantization_no_noise_is_exact():
     assert report.grid.rmse_log_met <= 1e-6
 
 
+@pytest.mark.parametrize("noise_sd", [1e200, 1e308])
+def test_benchmark_noise_that_overflows_the_fit_is_named(noise_sd):
+    # an observation whose squared norm overflows has no representable fit
+    with pytest.raises(ValidationError, match="noise_sd=.* is too large"):
+        quantization_benchmark(_families_library(n=12), 3, 1, noise_sd, seed=1)
+
+
 def test_benchmark_degenerate_library_favors_diffusion_kmeans():
     lib = generate(GeneratorSpec(kind="degenerate-components", n=40, seed=11,
                                  separation=0.01))

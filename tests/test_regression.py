@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sca import nystrom
+from sca import nystrom, regression
 from sca.dataset import DataSet
 from sca.errors import NumericalError, ValidationError
 from sca.markov import build_transition
@@ -297,7 +297,7 @@ def test_basis_risk_curve_matches_fit_curve():
     assert np.array_equal(manual, model.cv_risk_curve)
 
 
-# --- one QR per fold against per-p least squares --------------------------------
+# --- one triangular factor per fold against per-p least squares -----------------
 
 def _lstsq_risk_curve(basis, y, folds, seed):
     """Risk oracle: a fresh minimum-norm lstsq fit for every (p, fold)."""
@@ -329,10 +329,12 @@ def test_qr_risk_curve_matches_lstsq_on_swiss_roll_basis():
     _assert_risks_match_oracle(emb.coords, data.response, 10, 3)
 
 
-def test_qr_risk_curve_matches_lstsq_on_underdetermined_folds():
+def test_qr_risk_curve_matches_lstsq_on_underdetermined_folds(monkeypatch):
     # 2 folds of 12 rows train on 6 rows, fewer than the 12 design columns
     rng = np.random.default_rng(5)
+    routes = _count_fold_routes(monkeypatch)
     _assert_risks_match_oracle(rng.normal(size=(12, 11)), rng.normal(size=12), 2, 0)
+    assert routes == {"one-pass": 0, "two-pass": 0, "lstsq": 2}
 
 
 def test_qr_risk_curve_matches_lstsq_with_duplicate_points():
@@ -344,33 +346,41 @@ def test_qr_risk_curve_matches_lstsq_with_duplicate_points():
     _assert_risks_match_oracle(embed(dec, 1, 20).coords, y, 5, 1)
 
 
-def test_qr_risk_curve_matches_lstsq_on_rank_deficient_columns():
-    # column 3 repeats column 1, so R_33 is zero and p >= 3 use lstsq
+def test_qr_risk_curve_matches_lstsq_on_rank_deficient_columns(monkeypatch):
+    # column 3 repeats column 1, so X^T X is singular and no Cholesky factor
+    # passes: every fold takes lstsq for every p
     rng = np.random.default_rng(7)
     basis = rng.normal(size=(50, 6))
     basis[:, 2] = basis[:, 0]
+    routes = _count_fold_routes(monkeypatch)
     _assert_risks_match_oracle(basis, rng.normal(size=50), 5, 2)
+    assert routes == {"one-pass": 0, "two-pass": 0, "lstsq": 5}
 
 
 def _count_fold_routes(monkeypatch):
-    """Folds scored through the Gram factor and through a thin QR, counted by
-    a spy on np.linalg.qr that is live only inside ``basis_risk_curve``: a
-    fold makes one QR exactly when it leaves the Gram route."""
-    routes = {"gram": 0, "qr": 0}
-    qr, curve = np.linalg.qr, basis_risk_curve
+    """Folds scored from one Cholesky pass, from two, and by lstsq, told apart
+    by spies on np.linalg.cholesky and np.linalg.lstsq that are live only
+    inside each call of the fold scorer: a fold that calls lstsq takes it for
+    every p, and otherwise makes one Cholesky call per pass."""
+    routes = {"one-pass": 0, "two-pass": 0, "lstsq": 0}
+    scorer = regression._fold_squared_errors
 
-    def qr_spy(*args, **kwargs):
-        routes["qr"] += 1
-        return qr(*args, **kwargs)
+    def scorer_spy(design, *args):
+        calls = {"cholesky": 0, "lstsq": 0}
 
-    def curve_spy(basis, y, folds, seed):
-        before = routes["qr"]
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np.linalg, "qr", qr_spy)
-            risks = curve(basis, y, folds, seed)
-        routes["gram"] += folds - (routes["qr"] - before)
-        return risks
-    monkeypatch.setitem(globals(), "basis_risk_curve", curve_spy)
+            for name in calls:
+                patch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+            errors = scorer(design, *args)
+        assert calls["lstsq"] in (0, design.shape[1] - 1)
+        routes["lstsq" if calls["lstsq"] else ("one-pass", "two-pass")[calls["cholesky"] - 1]] += 1
+        return errors
+    monkeypatch.setattr(regression, "_fold_squared_errors", scorer_spy)
     return routes
 
 
@@ -381,23 +391,23 @@ def test_gram_risk_curve_matches_lstsq_on_swiss_roll_psi(monkeypatch):
     _, dec, _, _ = full_pipeline(data, r=50)
     routes = _count_fold_routes(monkeypatch)
     _assert_risks_match_oracle(dec.eigenvectors, data.response, 10, 3)
-    assert routes == {"gram": 10, "qr": 0}
+    assert routes == {"one-pass": 10, "two-pass": 0, "lstsq": 0}
 
 
-def test_near_collinear_basis_falls_back_to_qr_on_every_fold(monkeypatch):
-    # column 4 is column 2 plus 1e-3 noise: cond(X) ~ 1e3 > 10, so the Gram
-    # route would lose about cond^2 eps and every fold takes the thin QR
+def test_near_collinear_basis_takes_the_second_pass_on_every_fold(monkeypatch):
+    # column 4 is column 2 plus 1e-3 noise: cond(X) ~ 1e3 > 10, so one pass
+    # would lose about cond^2 eps and every fold takes a second Cholesky pass
     rng = np.random.default_rng(8)
     basis = rng.normal(size=(200, 8))
     basis[:, 3] = basis[:, 1] + 1e-3 * rng.normal(size=200)
     routes = _count_fold_routes(monkeypatch)
     _assert_risks_match_oracle(basis, rng.normal(size=200), 5, 2)
-    assert routes == {"gram": 0, "qr": 5}
+    assert routes == {"one-pass": 0, "two-pass": 5, "lstsq": 0}
 
 
 def test_two_density_psi_basis_mixes_the_routes(monkeypatch):
     # a blob half as wide as the rest: at r = 20 the folds whose [1, psi]
-    # keeps cond 6.8-7.2 take the Gram route, those at 37-67 the thin QR
+    # keeps cond 6.8-7.2 take one pass, those at 37-67 a second pass
     rng = np.random.default_rng(6)
     points = np.vstack([0.5 * rng.normal(size=(320, 2)), rng.normal(size=(80, 2))])
     y = points[:, 0] + 0.1 * rng.normal(size=400)
@@ -405,7 +415,22 @@ def test_two_density_psi_basis_mixes_the_routes(monkeypatch):
     _, dec, _, _ = full_pipeline(data)
     routes = _count_fold_routes(monkeypatch)
     _assert_risks_match_oracle(dec.eigenvectors[:, :20], y, 10, 0)
-    assert routes["gram"] >= 1 and routes["qr"] >= 1
+    assert routes == {"one-pass": 7, "two-pass": 3, "lstsq": 0}
+
+
+def test_second_pass_scores_from_q1_not_the_normal_equations(monkeypatch):
+    # the two-density layout at n = 800, r = 40: every fold takes the second
+    # pass, where c = L^-1 X^T y, the seminormal equations, would lose about
+    # eps cond^2 (2.2e-11 of the largest risk); c = L2^-1 Q1^T y stays
+    # within 1.9e-13 of the oracle
+    rng = np.random.default_rng(1)
+    points = np.vstack([0.5 * rng.normal(size=(640, 2)), rng.normal(size=(160, 2))])
+    y = points[:, 0] + 0.1 * rng.normal(size=800)
+    data = DataSet(points=points, ids=tuple(str(i) for i in range(800)), response=y)
+    _, dec, _, _ = full_pipeline(data, r=40)
+    routes = _count_fold_routes(monkeypatch)
+    _assert_risks_match_oracle(dec.eigenvectors, y, 10, 0)
+    assert routes == {"one-pass": 0, "two-pass": 10, "lstsq": 0}
 
 
 def test_fit_and_predict_do_not_depend_on_diffusion_time():

@@ -130,6 +130,18 @@ def test_non_finite_shape_parameters_rejected(field, value):
         GeneratorSpec(kind="degenerate-components", n=10, **{field: value})
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_noise_sd_that_overflows_the_values_is_named(kind):
+    with pytest.raises(ValidationError, match=r"noise_sd=1e\+308 is too large"):
+        generate(GeneratorSpec(kind=kind, n=30, noise_sd=1e308, seed=1))
+
+
+def test_largest_separation_keeps_the_library_finite():
+    lib = generate(GeneratorSpec(kind="degenerate-components", n=30, n_bins=41,
+                                 separation=np.finfo(float).max))
+    assert np.isfinite(lib.spectra).all()
+
+
 _STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 11]
 
 
