@@ -320,6 +320,9 @@ def fit_mixture(proto: PrototypeSet, y: np.ndarray, noise_sd: float = 1.0) -> Mi
     y = check_array(y, (p.shape[1],), "observation")
     k = p.shape[0]
     gram = 2.0 * (p @ p.T)
+    with np.errstate(over="ignore"):   # ||y - gamma @ p|| <= ||y|| + max_i ||p_i||
+        if not (np.sqrt(y @ y) + np.sqrt(np.diag(gram).max() / 2)) ** 2 < np.inf:
+            raise ValidationError("observation is too large: its squared residual can overflow")
     lin = 2.0 * (p @ y)
     # reduced gradients this close to zero are rounding, not descent
     tol = 1e-12 * max(float(np.abs(gram).max()), float(np.abs(lin).max()), 1.0)

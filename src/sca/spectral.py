@@ -94,10 +94,10 @@ def decompose(transition: TransitionMatrix, r=None) -> SpectralDecomposition:
     at least (1 - 1e-9) times the largest, is positive.
 
     When the Krylov basis is small next to n the leading pairs come from
-    :func:`_krylov_pairs`, which applies M through W and the diagonal
-    scalings and never forms it; otherwise, or when that solver does not
-    reach its tolerance within its basis cap, from a full ``eigh`` of M.  A
-    numerically disconnected graph raises NumericalError.
+    :func:`_krylov_pairs`, which starts from columns of M, applies M through
+    W and the diagonal scalings and never forms it; otherwise, or when it
+    does not reach its tolerance within its basis cap, from a full ``eigh``
+    of M.  A numerically disconnected graph raises NumericalError.
     """
     n = transition.n
     r = check_int(min(DEFAULT_PAIRS, n - 1) if r is None else r, 1, n - 1,
@@ -154,29 +154,33 @@ def _krylov_pairs(kernel: np.ndarray, scale: np.ndarray, v0: np.ndarray,
     """Leading ``wanted`` pairs of M = diag(scale) W diag(scale) by block
     Lanczos with full reorthogonalization, with W = ``kernel``.
 
-    The basis V grows one ``block`` at a time from a start block of v0 and
-    seeded Gaussian columns.  Each new block is the image M X of the last
-    one, orthonormalized against all of V by two passes of block
-    Gram-Schmidt, each followed by a Cholesky QR (the second pass works on
-    near-unit columns, so what the first left at rounding level, or not
-    quite orthonormal, comes out orthonormal and orthogonal to V).  Each
-    image is taken once, as scale * (W (scale * X)), so M is never formed,
-    and H = V^T M V grows by one block row with V.  V and its image are
-    column-major and grow by doubling.  Rayleigh-Ritz on H stops when
+    The basis V grows one ``block`` at a time.  The start block is v0, the
+    columns M e_j of ``wanted`` - 1 distinct seeded rows j (read off the
+    symmetric W, at no product) and seeded Gaussian columns, which give every
+    eigenvector a share of the start.  Each later block is the image M X of
+    the last one, orthonormalized against all of V by block Gram-Schmidt.
+    Every block takes two passes, each followed by a Cholesky QR (the second
+    pass works on near-unit columns, so what the first left at rounding
+    level, or not quite orthonormal, comes out orthonormal and orthogonal to
+    V).  Each image is taken once, as scale * (W (scale * X)), so M is never
+    formed, and H = V^T M V grows by one block row with V.  V and its image
+    are column-major and grow by doubling.  Rayleigh-Ritz on H stops when
     every wanted pair has ||M x - theta x||_2 <= ``_RESIDUAL_TOL``
     (||M||_2 = 1 for a diffusion operator) and returns (theta, X) in
-    descending order.  Otherwise the log of the largest residual is
-    projected to fall with the square of the basis size, as Krylov
-    convergence speeds up while the basis grows: the next Rayleigh-Ritz
-    runs at the projected size, and the solver returns None once that
-    size or the next block would pass ``_BASIS_CAP`` * n columns.
+    descending order.  Otherwise the log of the largest residual is projected
+    to fall with the square of the basis size (Krylov convergence speeds up
+    as the basis grows): the next Rayleigh-Ritz runs at that size, and the
+    solver returns None once it or the next block would pass
+    ``_BASIS_CAP`` * n columns.
     """
     n = kernel.shape[0]
     scale = scale[:, None]
     cap = _BASIS_CAP * n
-    start = np.random.default_rng(_START_SEED).standard_normal((n, block))
-    start[:, 0] = v0
-    x = _orthonormal(start)
+    rng = np.random.default_rng(_START_SEED)
+    rows = rng.choice(n, wanted - 1, replace=False)
+    start = np.column_stack([v0, (kernel[rows] * scale[rows]).T * scale,
+                             rng.standard_normal((n, block - wanted))])
+    x = _orthonormal(_orthonormal(start))
     basis, image, h = np.empty((n, 0)), np.empty((n, 0)), np.empty((0, 0))
     k = target = 0
     while True:

@@ -420,6 +420,17 @@ def test_fit_mixture_rejects_bad_inputs():
         fit_mixture(proto, np.zeros(9))
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is reported as an error, not a warning
+def test_fit_mixture_refuses_an_observation_whose_residual_can_overflow():
+    vectors = np.random.default_rng(7).normal(size=(3, 10))
+    proto = _loose_protoset(vectors)
+    with pytest.raises(ValidationError, match="^observation is too large: its squared "
+                                              "residual can overflow"):
+        fit_mixture(proto, 1e200 * vectors[0])
+    # 1e150 squared is far inside the float range
+    assert np.isfinite(fit_mixture(proto, 1e150 * vectors[0]).residual)
+
+
 def test_fit_mixture_has_no_iteration_cap():
     vectors = np.random.default_rng(7).normal(size=(3, 10))
     with pytest.raises(TypeError):

@@ -368,20 +368,42 @@ def test_krylov_basis_falls_back_to_householder_when_cholesky_fails(monkeypatch)
     monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     dec = decompose(transition, 10)
-    # the start block, then two passes per block after it
-    assert len(failed) == len(householder) >= 3 and len(failed) % 2 == 1
+    # two passes for the start block and for each block after it
+    assert len(failed) == len(householder) >= 4 and len(failed) % 2 == 0
     assert set(householder) == {19}
     _assert_matches_oracle(transition, dec)
 
 
-def test_krylov_basis_at_the_median_bandwidth_stops_after_four_blocks(monkeypatch):
-    # r = 50: blocks of 59 columns, each multiplied by W once
+def test_krylov_basis_at_the_median_bandwidth_stops_after_three_blocks(monkeypatch):
+    # r = 50: blocks of 59 columns, each multiplied by W once; the start
+    # block's 50 kernel columns are read off W, not multiplied
     transition = _transition_of(_swiss_roll(1000))
     _forbid_full_eigh(monkeypatch)
     columns = _count_kernel_columns(monkeypatch)
     dec = decompose(transition, 50)
-    assert set(columns) == {59} and sum(columns) <= 4 * 59
+    assert set(columns) == {59} and sum(columns) <= 3 * 59
     _assert_matches_oracle(transition, dec)
+
+
+@pytest.mark.parametrize("points, deficient", [
+    # every point twice: two drawn rows can be copies of one point, and
+    # then the start block is rank-deficient
+    (np.tile(_swiss_roll(500), (2, 1)), True),
+    # a 15-point cluster beside a 985-point blob: few draws land in it
+    (np.vstack([np.random.default_rng(2).normal(size=(985, 3)),
+                0.3 * np.random.default_rng(3).normal(size=(15, 3)) + [4.0, 0.0, 0.0]]),
+     False),
+], ids=["roll-duplicated", "small-cluster"])
+def test_krylov_start_block_from_kernel_columns_matches_full_eigh(monkeypatch, points,
+                                                                   deficient):
+    transition = _transition_of(points)
+    _forbid_full_eigh(monkeypatch)
+    blocks = []
+    real = spectral._orthonormal
+    monkeypatch.setattr(spectral, "_orthonormal", lambda a: blocks.append(a) or real(a))
+    _assert_matches_oracle(transition, decompose(transition, 50))
+    start = blocks[0]
+    assert (np.linalg.matrix_rank(start) < start.shape[1]) == deficient
 
 
 @pytest.mark.parametrize("points, scale, r, fallback", [

@@ -136,6 +136,18 @@ def test_noise_sd_that_overflows_the_values_is_named(kind):
         generate(GeneratorSpec(kind=kind, n=30, noise_sd=1e308, seed=1))
 
 
+@pytest.mark.parametrize("kind", synthetic.LIBRARY_KINDS)
+def test_library_noise_that_makes_a_reference_bin_nonpositive_is_named(kind):
+    # every noiseless curve is 1 at the reference bin 0; noise of sd 0.5
+    # takes some of 60 to or below 0 there, where the library normalizes
+    assert (generate(GeneratorSpec(kind=kind, n=60, noise_sd=0.3, seed=4)).spectra[:, 0]
+            == 1.0).all()
+    with pytest.raises(ValidationError,
+                       match=f"noise_sd=0.5 is too large: a noisy {kind} spectrum is "
+                             "nonpositive at its reference bin 0"):
+        generate(GeneratorSpec(kind=kind, n=60, noise_sd=0.5, seed=4))
+
+
 def test_largest_separation_keeps_the_library_finite():
     lib = generate(GeneratorSpec(kind="degenerate-components", n=30, n_bins=41,
                                  separation=np.finfo(float).max))
