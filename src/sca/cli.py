@@ -225,11 +225,11 @@ def _model_bytes(extension: ExtensionModel, t: int, pairs: int,
 
 @contextlib.contextmanager
 def _named(source: str):
-    """Prefix every ValidationError raised in the block with ``source``."""
+    """Prefix every ValidationError or NumericalError raised in the block with ``source``."""
     try:
         yield
-    except ValidationError as exc:
-        raise ValidationError(f"{source}: {exc}") from exc
+    except (ValidationError, NumericalError) as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
 
 
 def _load_model(path):
@@ -392,7 +392,8 @@ def _cmd_fit_mixture(args):
     out = args.out or _derived_out(args.input, ".mixture.json")
     fits = []
     for i in range(len(ids)):
-        result = fit_mixture(proto, points[i])
+        with _named(f"input {args.input} row {i + 1} (id {ids[i]!r})"):
+            result = fit_mixture(proto, points[i])
         fits.append({
             "id": ids[i],
             "gamma": result.gamma.tolist(),

@@ -10,6 +10,7 @@ mixture-weighted average log age and log metallicity.
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -80,6 +81,10 @@ class PrototypeSet:
     returns selected components verbatim, with their own parameters and
     member labels.  Fields that are not given stay None (or empty).
     Construction checks K >= 1 and finite vectors and parameters.
+
+    The Gram matrix 2PP' that every mixture fit reads is computed once per
+    set, on the first fit, and reused by every later one.  It cannot go
+    stale: the set holds read-only copies of its arrays that it owns.
     """
 
     prototypes: np.ndarray            # (K, d)
@@ -117,6 +122,13 @@ class PrototypeSet:
     @property
     def k(self) -> int:
         return self.prototypes.shape[0]
+
+    @cached_property
+    def _gram(self):
+        """(G = 2PP', diag(G) / 2, max diag(G), max |G|): the fit's set-level terms."""
+        gram = 2.0 * (self.prototypes @ self.prototypes.T)
+        diag = np.diag(gram)
+        return gram, 0.5 * diag, float(diag.max()), float(np.abs(gram).max())
 
 
 @dataclass(frozen=True)
@@ -288,9 +300,10 @@ def _affine_minimizer(gram: np.ndarray, lin: np.ndarray, support: np.ndarray) ->
     """
     m = support.size
     system = np.ones((m + 1, m + 1))
-    system[:m, :m] = gram[np.ix_(support, support)]
+    system[:m, :m] = gram[support[:, None], support]
     system[m, m] = 0.0
-    rhs = np.append(lin[support], 1.0)
+    rhs = np.ones(m + 1)
+    rhs[:m] = lin[support]
     return np.linalg.lstsq(system, rhs, rcond=None)[0][:m]
 
 
@@ -319,17 +332,17 @@ def fit_mixture(proto: PrototypeSet, y: np.ndarray, noise_sd: float = 1.0) -> Mi
     p = proto.prototypes
     y = check_array(y, (p.shape[1],), "observation")
     k = p.shape[0]
-    gram = 2.0 * (p @ p.T)
+    gram, half_diag, diag_max, gram_max = proto._gram
     with np.errstate(over="ignore"):   # ||y - gamma @ p|| <= ||y|| + max_i ||p_i||
-        if not (np.sqrt(y @ y) + np.sqrt(np.diag(gram).max() / 2)) ** 2 < np.inf:
+        if not (np.sqrt(y @ y) + np.sqrt(diag_max / 2)) ** 2 < np.inf:
             raise ValidationError("observation is too large: its squared residual can overflow")
     lin = 2.0 * (p @ y)
     # reduced gradients this close to zero are rounding, not descent
-    tol = 1e-12 * max(float(np.abs(gram).max()), float(np.abs(lin).max()), 1.0)
+    tol = 1e-12 * max(gram_max, float(np.abs(lin).max()), 1.0)
 
     gamma = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
-    vertex = int(np.argmin(0.5 * np.diag(gram) - lin))
+    vertex = int(np.argmin(half_diag - lin))
     gamma[vertex] = 1.0
     passive[vertex] = True
     for _ in range(3 * k):

@@ -19,6 +19,7 @@ from sca.cli import main
 from sca.dataset import (
     Dissimilarity, load_dataset, pairwise_dissimilarity, parse_table, read_table,
 )
+from sca.errors import NumericalError
 from sca.markov import build_transition, default_epsilon
 from sca.nystrom import build_extension, extend_embedding
 from sca.prototypes import diffusion_kmeans, load_component_library
@@ -597,6 +598,52 @@ def test_prototype_and_fit_mixture_outputs(tmp_path):
     fit = json.loads(out.read_text())["fits"][0]
     assert fit["residual"] <= 1e-9
     assert sum(fit["gamma"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def _two_prototype_rows(tmp_path, second_id, scale):
+    """A prototypes file and an observation file of its first two vectors,
+    the second scaled by ``scale`` and given the id ``second_id``."""
+    lib = tmp_path / "lib.csv"
+    assert main(["gen", "--kind", "degenerate-components", "--n", "24",
+                 "--seed", "5", "--out", str(lib)]) == 0
+    assert main(["prototype", "--input", str(lib), "--k", "4", "--seed", "2",
+                 "--out-prefix", str(tmp_path / "proto")]) == 0
+    rows = [r.split(",")[3:] for r in
+            (tmp_path / "proto.prototypes.csv").read_text().splitlines()[1:3]]
+    obs = tmp_path / "obs.csv"
+    obs.write_text("id," + ",".join(f"b{k}" for k in range(len(rows[0]))) + "\n" +
+                   "q0," + ",".join(rows[0]) + "\n" + second_id + "," +
+                   ",".join(repr(scale * float(v)) for v in rows[1]) + "\n")
+    return tmp_path / "proto.prototypes.csv", obs
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is reported as an error, not a warning
+def test_fit_mixture_names_the_row_it_refuses(tmp_path, capsys):
+    protos, obs = _two_prototype_rows(tmp_path, "huge", 1e200)
+    out = tmp_path / "fit.json"
+    capsys.readouterr()
+    assert main(["fit-mixture", "--prototypes", str(protos), "--input", str(obs),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: input {obs} row 2 (id 'huge'): observation is too large: "
+        "its squared residual can overflow\n")
+    assert not out.exists()
+
+
+def test_fit_mixture_numerical_failure_names_the_row_and_exits_2(tmp_path, capsys,
+                                                                  monkeypatch):
+    protos, obs = _two_prototype_rows(tmp_path, "q1", 1.0)
+    capsys.readouterr()
+
+    def failing_fit(proto, y):
+        raise NumericalError("simplex solver reached KKT residual 1.00e-03, above 1e-08")
+    monkeypatch.setattr(cli, "fit_mixture", failing_fit)
+    assert main(["fit-mixture", "--prototypes", str(protos), "--input", str(obs),
+                 "--out", str(tmp_path / "fit.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure: input {obs} row 1 (id 'q0'): simplex solver reached "
+        "KKT residual 1.00e-03, above 1e-08\n")
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_bench_quantization_report(tmp_path):
